@@ -52,7 +52,7 @@ from .errors import (
     UnknownAdapterError,
     ValidationError,
 )
-from .numcore import as_matrix, as_vector, l2_norm, matvec, shannon_entropy, softmax
+from .numcore import as_vector, l2_norm, shannon_entropy, softmax
 from .routing import (
     FusedDelta,
     RoutingDecision,
@@ -72,8 +72,6 @@ from .signals import (
     SignalReport,
     mean_pool_token,
     probe,
-    report_from_text,
-    report_to_text,
     score_inverse_entropy,
     score_norm,
 )

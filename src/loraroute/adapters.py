@@ -3,9 +3,15 @@
 An adapter stores factor pairs ``(A, B)`` for the Q and V projection of every
 block, with a shared scalar ``alpha``; its effective weight update for one
 projection is ``alpha * A @ B`` (``A`` is ``d_model x rank``, ``B`` is
-``rank x d_model``).  The product is never materialized during inference —
-:func:`delta_apply` computes ``alpha * A @ (B @ h)`` right-to-left, so cost
-stays linear in the rank.
+``rank x d_model``).
+
+Inference attaches several adapters at once through one representation:
+:func:`stack_factors` concatenates their factors at one (block, site) along
+the rank, with each adapter's scale folded into its columns of ``A``, so the
+summed delta is one right-to-left product ``A @ (B @ h)`` whose cost stays
+linear in the total rank.  The probe, the mixture merge and the fusion merge
+all build on it.  :func:`delta_apply` is the one-adapter reference that tests
+compare the stacked path against.
 
 The pool is a mutable registry keyed by adapter id.  Every successful add or
 remove bumps an integer ``revision``; readers take an atomic snapshot so a
@@ -206,6 +212,27 @@ class AdapterPool:
             return sorted(self._entries)
 
 
+def stack_factors(
+    adapters: Sequence[LoraAdapter],
+    scales: Sequence[float],
+    block: int,
+    site: str,
+) -> tuple[Array, Array]:
+    """Factors of ``adapters`` at one (block, site), concatenated along the rank.
+
+    Returns ``A`` of shape ``(d_model, R)`` with adapter ``i``'s columns
+    multiplied by ``scales[i]``, and ``B`` of shape ``(R, d_model)``, where
+    ``R`` is the sum of the adapters' ranks (which may differ).  Adapter
+    ``i`` owns the ``i``-th run of ``rank_i`` columns of ``A`` and rows of
+    ``B``, so ``A @ (B @ h) == sum_i scales[i] * A_i @ B_i @ h``.
+    """
+    facs = [adapter.factors[(block, site)] for adapter in adapters]
+    col_scales = np.repeat(np.asarray(scales, dtype=np.float64), [f.a.shape[1] for f in facs])
+    a = np.concatenate([f.a for f in facs], axis=1) * col_scales
+    b = np.concatenate([f.b for f in facs], axis=0)
+    return a, b
+
+
 def adapter_hooks(
     adapters: Sequence[LoraAdapter],
     weights: Mapping[str, float] | None = None,
@@ -216,30 +243,28 @@ def adapter_hooks(
     otherwise adapter ``i`` contributes at effective scale
     ``weights[id] * alpha_i`` (the mixture-merge convention).  Adapters
     missing from ``weights`` are dropped entirely.
+
+    Each hook stacks its own site's factors when called, so a pool-wide
+    stack exists for one site at a time, never for every site at once.
     """
+    if weights is not None:
+        adapters = [a for a in adapters if a.id in weights]
+    adapters = tuple(adapters)
     if not adapters:
         return []
     n_blocks = adapters[0].n_blocks
-    for a in adapters:
-        if a.n_blocks != n_blocks:
-            raise ShapeMismatchError("adapters span different block counts")
+    if any(a.n_blocks != n_blocks for a in adapters):
+        raise ShapeMismatchError("adapters span different block counts")
     if weights is None:
-        active = [(a, None) for a in adapters]
+        scales = [a.alpha for a in adapters]
     else:
-        active = [(a, float(weights[a.id]) * a.alpha) for a in adapters if a.id in weights]
+        scales = [float(weights[a.id]) * a.alpha for a in adapters]
 
-    hooks: list[ProjectionHook] = []
-    for j in range(n_blocks):
-        for site in HOOK_SITES:
-            def fn(block: int, site_: str, h: Array, base: Array, _pairs=tuple(active)) -> Array:
-                total: Array | None = None
-                for adapter, scale in _pairs:
-                    d = delta_apply(adapter, block, site_, h, alpha_override=scale)
-                    total = d if total is None else total + d
-                return total if total is not None else np.zeros_like(base)
+    def fn(block: int, site: str, h: Array, base: Array) -> Array:
+        a, b = stack_factors(adapters, scales, block, site)
+        return (h @ b.T) @ a.T
 
-            hooks.append(ProjectionHook(j, site, fn))
-    return hooks
+    return [ProjectionHook(j, site, fn) for j in range(n_blocks) for site in HOOK_SITES]
 
 
 # -- serialization ---------------------------------------------------------------
@@ -286,7 +311,10 @@ def adapter_from_bytes(data: bytes, metadata: str = "") -> LoraAdapter:
         raise FormatError(f"unsupported version {version}")
     if len(data) < offset + id_len:
         raise FormatError("truncated adapter id")
-    ident = data[offset : offset + id_len].decode("utf-8")
+    try:
+        ident = data[offset : offset + id_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"adapter id is not valid UTF-8: {exc}") from None
     offset += id_len
     fixed = struct.calcsize("<IIIBd")
     if len(data) < offset + fixed:
@@ -295,6 +323,10 @@ def adapter_from_bytes(data: bytes, metadata: str = "") -> LoraAdapter:
     offset += fixed
     if factor_order != FACTOR_ORDER_AB:
         raise FormatError(f"unsupported factor order {factor_order}")
+    if min(d_model, n_blocks, rank) < 1:
+        raise FormatError(
+            f"degenerate header: d_model={d_model}, n_blocks={n_blocks}, rank={rank}"
+        )
 
     factors: dict[tuple[int, str], LoraFactors] = {}
 
@@ -314,7 +346,10 @@ def adapter_from_bytes(data: bytes, metadata: str = "") -> LoraAdapter:
             factors[(j, site)] = LoraFactors(a, b)
     if offset != len(data):
         raise FormatError(f"trailing data: {len(data) - offset} unexpected bytes")
-    return LoraAdapter(id=ident, alpha=alpha, factors=factors, metadata=metadata)
+    try:
+        return LoraAdapter(id=ident, alpha=alpha, factors=factors, metadata=metadata)
+    except ValidationError as exc:
+        raise FormatError(f"invalid adapter: {exc}") from exc
 
 
 def save_adapter(adapter: LoraAdapter, path: str) -> None:

@@ -14,6 +14,7 @@ many passes an operation really issued.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -183,19 +184,19 @@ class Backbone:
     # -- forward math ----------------------------------------------------------
 
     def _validate_tokens(self, tokens: Sequence[int]) -> np.ndarray:
-        ids = np.asarray(list(tokens), dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 1:
+        tokens = list(tokens)
+        if not tokens:
             raise ValidationError("token sequence must contain at least one id")
-        if ids.size > self.config.max_seq_len:
+        if len(tokens) > self.config.max_seq_len:
             raise ContextOverflowError(
-                f"sequence of {ids.size} tokens exceeds max_seq_len {self.config.max_seq_len}"
+                f"sequence of {len(tokens)} tokens exceeds max_seq_len {self.config.max_seq_len}"
             )
-        if np.any(ids < 0) or np.any(ids >= self.config.vocab_size):
-            bad = ids[(ids < 0) | (ids >= self.config.vocab_size)][0]
-            raise TokenRangeError(
-                f"token id {bad} outside [0, {self.config.vocab_size})"
-            )
-        return ids
+        for tok in tokens:
+            if isinstance(tok, bool) or not isinstance(tok, (int, np.integer)):
+                raise ValidationError(f"token ids must be integers, got {tok!r}")
+            if not 0 <= tok < self.config.vocab_size:
+                raise TokenRangeError(f"token id {tok} outside [0, {self.config.vocab_size})")
+        return np.asarray(tokens, dtype=np.int64)
 
     def _group_hooks(self, hooks: Iterable[ProjectionHook]) -> dict[tuple[int, str], list[HookFn]]:
         grouped: dict[tuple[int, str], list[HookFn]] = {}
@@ -438,15 +439,17 @@ def backbone_from_bytes(data: bytes) -> Backbone:
     )
     if version != BACKBONE_VERSION:
         raise FormatError(f"unsupported version {version}")
-    config = ModelConfig(d, n_blocks, n_heads, d_ff, vocab, max_seq)
+    try:
+        config = ModelConfig(d, n_blocks, n_heads, d_ff, vocab, max_seq)
+    except ValidationError as exc:
+        raise FormatError(f"invalid header: {exc}") from exc
 
     offset = header_len
     raw = data
 
     def take(shape: tuple[int, ...]) -> Array:
         nonlocal offset
-        n = int(np.prod(shape))
-        nbytes = n * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
             raise FormatError("truncated payload")
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()

@@ -1,73 +1,46 @@
-"""Exception types shared across the package.
-
-Every error carries a stable machine-readable ``kind`` so the CLI can emit
-single-line diagnostics of the form ``error: <kind>: <message>`` without
-guessing at exception classes.
-"""
+"""Exception types shared across the package."""
 from __future__ import annotations
 
 
 class LoraRouteError(Exception):
     """Base class for all errors raised by this package."""
 
-    kind = "error"
-
 
 class ValidationError(LoraRouteError, ValueError):
     """Input violated a documented precondition."""
-
-    kind = "invalid-input"
 
 
 class ShapeMismatchError(ValidationError):
     """Operands have incompatible shapes; the message names both."""
 
-    kind = "shape-mismatch"
-
 
 class TokenRangeError(ValidationError):
     """A token id falls outside ``[0, vocab_size)``."""
-
-    kind = "token-range"
 
 
 class ContextOverflowError(ValidationError):
     """Prompt length plus requested tokens exceeds the model context."""
 
-    kind = "context-overflow"
-
 
 class FormatError(LoraRouteError):
-    """A serialized artifact is malformed (magic, version, or truncation)."""
-
-    kind = "bad-format"
+    """A serialized artifact is malformed: bad magic, version, header, id or payload."""
 
 
 class DuplicateAdapterError(LoraRouteError):
     """An adapter with the same id is already present in the pool."""
 
-    kind = "duplicate-adapter"
-
 
 class UnknownAdapterError(LoraRouteError):
     """An adapter id was not found in the pool."""
-
-    kind = "unknown-adapter"
 
 
 class EmptyPoolError(LoraRouteError):
     """The operation requires at least one adapter in the pool."""
 
-    kind = "empty-pool"
-
 
 class StaleDecisionError(LoraRouteError):
     """A routing decision references adapters no longer present."""
 
-    kind = "stale-decision"
-
 
 class TrainingDivergedError(LoraRouteError):
     """Toy adapter training produced a non-finite loss."""
-
-    kind = "training-diverged"

@@ -1,7 +1,7 @@
 """Dense float64 kernels used throughout the package.
 
-Inputs are validated once at the boundary (:func:`as_vector` /
-:func:`as_matrix`); the kernels themselves assume clean data.  Everything is
+Inputs are validated once at the boundary (:func:`as_vector`); the kernels
+themselves assume clean data.  Everything is
 plain numpy — no exotic numerics, just the few conventions that matter
 spelled out: softmax subtracts the max before exponentiating, and entropy
 treats ``0 * ln 0`` as zero.
@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ValidationError
+from .errors import ValidationError
 
 Array = np.ndarray
 
@@ -29,31 +29,6 @@ def as_vector(data: Any) -> Array:
     if not np.all(np.isfinite(v)):
         raise ValidationError("vector contains non-finite entries")
     return v
-
-
-def as_matrix(data: Any, rows: int | None = None, cols: int | None = None) -> Array:
-    """Coerce ``data`` to a finite 2-D float64 array, optionally checking shape."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2 or m.size < 1:
-        raise ValidationError(f"expected a 2-D matrix with at least one entry, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix contains non-finite entries")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeMismatchError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeMismatchError(f"expected {cols} columns, got {m.shape[1]}")
-    return m
-
-
-def matvec(m: Array, v: Array) -> Array:
-    """Matrix-vector product ``m @ v`` with an explicit shape check."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError(
-            f"matvec: matrix {m.shape[0]}x{m.shape[1]} incompatible with vector of length {v.shape[0]}"
-        )
-    return m @ v
 
 
 def l2_norm(v: Array) -> float:

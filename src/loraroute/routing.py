@@ -13,6 +13,9 @@ Two equivalent merge constructions are provided:
 * ``fusion`` — materialize the dense update
   ``sum_i w_i * alpha_i * A_i @ B_i`` per (block, site).
 
+Both are built from the same stacked factors (:func:`stack_factors`): the
+mixture applies them low-rank, the fusion multiplies them out once.
+
 By linearity both produce the same deltas up to float roundoff; tests pin
 that equivalence, and the engine treats it as a correctness check.
 """
@@ -24,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .adapters import AdapterPool, LoraAdapter, adapter_hooks
+from .adapters import AdapterPool, LoraAdapter, adapter_hooks, stack_factors
 from .backbone import HOOK_SITES, ProjectionHook
 from .errors import StaleDecisionError, ValidationError
 from .signals import SignalReport
@@ -129,17 +132,14 @@ def fuse_parameters(pool: AdapterPool, decision: RoutingDecision) -> FusedDelta:
     """Materialize the dense merged update ``sum_i w_i * alpha_i * A_i @ B_i``."""
     adapters = _resolve(pool, decision)
     weights = decision.weights()
+    scales = [weights[a.id] * a.alpha for a in adapters]
     n_blocks = pool.config.n_blocks
-    d_model = pool.config.d_model
     deltas: dict[tuple[int, str], Array] = {}
     for j in range(n_blocks):
         for site in HOOK_SITES:
-            acc = np.zeros((d_model, d_model))
-            for adapter in adapters:
-                fac = adapter.factors[(j, site)]
-                acc += (weights[adapter.id] * adapter.alpha) * (fac.a @ fac.b)
-            deltas[(j, site)] = acc
-    return FusedDelta(n_blocks=n_blocks, d_model=d_model, deltas=deltas)
+            a, b = stack_factors(adapters, scales, j, site)
+            deltas[(j, site)] = a @ b
+    return FusedDelta(n_blocks=n_blocks, d_model=pool.config.d_model, deltas=deltas)
 
 
 def fused_hooks(fused: FusedDelta) -> list[ProjectionHook]:

@@ -1,12 +1,14 @@
 """Per-adapter routing signals read from a single probe pass.
 
 The probe attaches every pool adapter to the backbone at its own alpha and
-runs exactly one forward pass over the input tokens.  At one chosen block it
-captures, for each adapter ``i``, the adapter's additive contribution to the
-Q projection — ``o_i = alpha_i * A_i @ B_i @ h`` per token, where ``h`` is
-the projection input produced with *all* adapters attached.  A token policy
-(first / last / mean) collapses the per-token contributions to a single
-vector per adapter, and a scoring rule turns that vector into a scalar:
+runs exactly one forward pass over the input tokens.  A zero-returning spy
+at the Q projection of one chosen block captures that projection's input
+``h``, produced with *all* adapters attached.  A token policy
+(first / last / mean) collapses the per-token rows of ``h`` to one vector,
+and by linearity each adapter ``i``'s contribution to the Q projection is
+``o_i = alpha_i * A_i @ B_i @ h`` on that vector, split out of one product
+over the stacked factors of the whole pool.  A scoring rule turns ``o_i``
+into a scalar:
 
 * ``norm`` — the Euclidean norm of ``o_i``; bigger response, bigger score.
 * ``inverse_entropy`` — softmax ``o_i`` and score ``1 / H``; the more peaked
@@ -22,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import AdapterPool, LoraAdapter, delta_apply
-from .backbone import HOOK_SITES, Backbone, ProjectionHook
+from .adapters import AdapterPool, adapter_hooks, stack_factors
+from .backbone import Backbone, ProjectionHook
 from .errors import EmptyPoolError, ValidationError
 from .numcore import l2_norm, shannon_entropy, softmax
 
@@ -143,118 +145,27 @@ def probe(
         raise EmptyPoolError("probe requires at least one adapter in the pool")
     target = config.resolve_block(backbone.config.n_blocks)
 
-    captured: dict[str, Array] = {}
-    hooks = _probe_hooks(adapters, target, captured)
-    backbone.forward(tokens, hooks)
+    captured: list[Array] = []
 
-    entries = []
-    for adapter in adapters:
-        pooled = mean_pool_token(captured[adapter.id], config.token_policy)
-        entries.append(
-            SignalEntry(
-                adapter_id=adapter.id,
-                output=pooled,
-                score=_SCORE_FNS[config.scoring](pooled),
-            )
-        )
+    def spy(block: int, site: str, h: Array, base: Array) -> Array:
+        captured.append(h)
+        return np.zeros_like(base)
+
+    backbone.forward(tokens, adapter_hooks(adapters) + [ProjectionHook(target, PROBE_SITE, spy)])
+    pooled = mean_pool_token(captured[0], config.token_policy)
+
+    a, b = stack_factors(adapters, [ad.alpha for ad in adapters], target, PROBE_SITE)
+    starts = np.cumsum([0] + [ad.rank for ad in adapters[:-1]])
+    # Column run i of ``a * (b @ pooled)`` summed is alpha_i * A_i @ B_i @ pooled.
+    outputs = np.add.reduceat(a * (b @ pooled), starts, axis=1).T
+    score = _SCORE_FNS[config.scoring]
     return SignalReport(
         pool_revision=revision,
         target_block=target,
         token_policy=config.token_policy,
         scoring=config.scoring,
-        entries=tuple(entries),
-    )
-
-
-def _probe_hooks(
-    adapters: Sequence[LoraAdapter],
-    target_block: int,
-    captured: dict[str, Array],
-) -> list[ProjectionHook]:
-    """All-adapter hooks that also record per-adapter deltas at the target."""
-    n_blocks = adapters[0].n_blocks
-    hooks: list[ProjectionHook] = []
-    for j in range(n_blocks):
-        for site in HOOK_SITES:
-            capture_here = j == target_block and site == PROBE_SITE
-
-            def fn(
-                block: int,
-                site_: str,
-                h: Array,
-                base: Array,
-                _capture: bool = capture_here,
-            ) -> Array:
-                total: Array | None = None
-                for adapter in adapters:
-                    d = delta_apply(adapter, block, site_, h)
-                    if _capture:
-                        captured[adapter.id] = d
-                    total = d if total is None else total + d
-                return total if total is not None else np.zeros_like(base)
-
-            hooks.append(ProjectionHook(j, site, fn))
-    return hooks
-
-
-# -- report serialization -----------------------------------------------------
-
-
-def report_to_text(report: SignalReport, include_outputs: bool = False) -> str:
-    """Line-oriented rendering: a key=value header, then one line per adapter.
-
-    Each adapter line is ``id score [output components...]``; components are
-    included only when ``include_outputs`` is set.  Floats are written with
-    ``repr`` so parsing them back is lossless.
-    """
-    lines = [
-        f"pool_revision={report.pool_revision} "
-        f"token_policy={report.token_policy} "
-        f"target_block={report.target_block} "
-        f"scoring={report.scoring}"
-    ]
-    for e in report.entries:
-        parts = [e.adapter_id, repr(e.score)]
-        if include_outputs:
-            parts.extend(repr(x) for x in e.output.tolist())
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def report_from_text(text: str) -> SignalReport:
-    """Parse :func:`report_to_text` output back into a report.
-
-    Entries without serialized outputs get an empty output vector of length
-    zero stored as shape ``(0,)``.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValidationError("empty signal report text")
-    header: dict[str, str] = {}
-    for item in lines[0].split():
-        if "=" not in item:
-            raise ValidationError(f"malformed report header item {item!r}")
-        key, value = item.split("=", 1)
-        header[key] = value
-    try:
-        revision = int(header["pool_revision"])
-        policy = header["token_policy"]
-        target = int(header["target_block"])
-        scoring = header["scoring"]
-    except KeyError as exc:
-        raise ValidationError(f"report header missing field {exc}") from exc
-
-    entries = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) < 2:
-            raise ValidationError(f"malformed report entry {line!r}")
-        output = np.asarray([float(x) for x in parts[2:]], dtype=np.float64)
-        entries.append(SignalEntry(parts[0], output, float(parts[1])))
-    return SignalReport(
-        pool_revision=revision,
-        target_block=target,
-        token_policy=policy,
-        scoring=scoring,
-        entries=tuple(entries),
+        entries=tuple(
+            SignalEntry(adapter_id=ad.id, output=out, score=score(out))
+            for ad, out in zip(adapters, outputs)
+        ),
     )

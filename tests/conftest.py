@@ -37,3 +37,30 @@ def make_pool(config, n, seed=0, rank=4, alpha=1.0):
 @pytest.fixture
 def small_pool(tiny_config):
     return make_pool(tiny_config, 5)
+
+
+def make_mixed_pool(config):
+    """Pool of adapters with ranks 1, 3 and 8 at alphas other than one."""
+    pool = AdapterPool(config)
+    for rank, alpha in ((1, 0.7), (3, 1.9), (8, 3.25)):
+        pool.add(make_adapter(config, f"r{rank}", seed=rank, rank=rank, alpha=alpha))
+    return pool
+
+
+def byte_mutations(blob, seed, count):
+    """Seeded corruptions of ``blob``: overwritten bytes (half of them in the
+    first 64, where the headers live), truncations and insertions."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        data = bytearray(blob)
+        kind = rng.integers(3)
+        if kind == 0:
+            for _ in range(int(rng.integers(1, 5))):
+                span = min(64, len(data)) if rng.random() < 0.5 else len(data)
+                data[int(rng.integers(span))] = int(rng.integers(256))
+        elif kind == 1:
+            del data[int(rng.integers(len(data))) :]
+        else:
+            at = int(rng.integers(len(data) + 1))
+            data[at:at] = rng.integers(0, 256, size=int(rng.integers(1, 9)), dtype=np.uint8).tobytes()
+        yield bytes(data)

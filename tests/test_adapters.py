@@ -1,3 +1,4 @@
+import struct
 import threading
 
 import numpy as np
@@ -24,7 +25,14 @@ from loraroute import (
 )
 from loraroute.adapters import ADAPTER_MAGIC
 
-from conftest import make_adapter, make_pool
+from conftest import byte_mutations, make_adapter, make_pool
+
+
+def lgad_bytes(ident=b"x", d_model=4, n_blocks=1, rank=1, alpha=1.0, fill=1.0):
+    """Hand-built LGAD bytes whose payload size follows the header fields."""
+    head = ADAPTER_MAGIC + struct.pack("<BH", 1, len(ident)) + ident
+    head += struct.pack("<IIIBd", d_model, n_blocks, rank, 0, alpha)
+    return head + np.full(4 * n_blocks * d_model * rank, fill).tobytes()
 
 
 def rank1_adapter(alpha=1.0):
@@ -271,6 +279,35 @@ class TestSerialization:
         raw = adapter_to_bytes(make_adapter(tiny_config, "x", seed=0))
         with pytest.raises(FormatError, match="trailing"):
             adapter_from_bytes(raw + b"\x01\x02")
+
+    def test_hand_built_bytes_parse(self):
+        ad = adapter_from_bytes(lgad_bytes(d_model=4, n_blocks=2, rank=3, alpha=0.5))
+        assert (ad.d_model, ad.n_blocks, ad.rank, ad.alpha) == (4, 2, 3, 0.5)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"ident": b"\xff\xfe"},
+            {"ident": b"has space"},
+            {"d_model": 0},
+            {"n_blocks": 0},
+            {"rank": 0},
+            {"alpha": float("nan")},
+            {"fill": float("inf")},
+        ],
+        ids=["non-utf8-id", "whitespace-id", "d_model-0", "n_blocks-0", "rank-0", "nan-alpha", "inf-factor"],
+    )
+    def test_invalid_content_is_format_error(self, fields):
+        with pytest.raises(FormatError):
+            adapter_from_bytes(lgad_bytes(**fields))
+
+    def test_byte_mutations_raise_only_format_error(self, tiny_config):
+        blob = adapter_to_bytes(make_adapter(tiny_config, "fuzz", seed=0, rank=2))
+        for data in byte_mutations(blob, seed=0, count=500):
+            try:
+                adapter_from_bytes(data)
+            except FormatError:
+                pass
 
     def test_metadata_not_in_format(self, tiny_config):
         bare = make_adapter(tiny_config, "same", seed=4, metadata="")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from loraroute import (
     save_backbone,
 )
 from loraroute.backbone import BACKBONE_MAGIC
+
+from conftest import byte_mutations
 
 
 class TestModelConfig:
@@ -86,6 +90,20 @@ class TestForward:
             tiny_backbone.forward([0, 64])
         with pytest.raises(TokenRangeError):
             tiny_backbone.forward([-1])
+        with pytest.raises(TokenRangeError):
+            tiny_backbone.forward([2**70])
+
+    @pytest.mark.parametrize("bad", [1.7, True, "3", np.float64(2.0)])
+    def test_rejects_non_integer_token(self, tiny_backbone, bad):
+        with pytest.raises(ValidationError, match="integers"):
+            tiny_backbone.forward([0, bad])
+        with pytest.raises(ValidationError, match="integers"):
+            tiny_backbone.generate([bad], max_new=1)
+
+    def test_accepts_numpy_integer_tokens(self, tiny_backbone):
+        want = tiny_backbone.forward([1, 2, 3]).logits
+        got = tiny_backbone.forward([np.int64(1), np.int32(2), np.uint8(3)]).logits
+        assert np.array_equal(got, want)
 
     def test_rejects_overlong_sequence(self, tiny_backbone, tiny_config):
         with pytest.raises(ContextOverflowError):
@@ -246,3 +264,16 @@ class TestSerialization:
     def test_trailing_garbage(self, tiny_backbone):
         with pytest.raises(FormatError, match="trailing"):
             backbone_from_bytes(tiny_backbone.to_bytes() + b"\x00" * 8)
+
+    def test_degenerate_header_is_format_error(self, tiny_backbone):
+        raw = bytearray(tiny_backbone.to_bytes())
+        struct.pack_into("<I", raw, 13, 0)  # n_heads
+        with pytest.raises(FormatError, match="n_heads"):
+            backbone_from_bytes(bytes(raw))
+
+    def test_byte_mutations_raise_only_format_error(self, tiny_backbone):
+        for data in byte_mutations(tiny_backbone.to_bytes(), seed=1, count=300):
+            try:
+                backbone_from_bytes(data)
+            except FormatError:
+                pass

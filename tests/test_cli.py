@@ -450,3 +450,15 @@ class TestParser:
         code = main(["route", "--model", str(bad), "--pool", workspace.pool, "--input", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: format:")
+
+    def test_non_utf8_adapter_id_is_format_error(self, workspace, tmp_path, capsys):
+        raw = bytearray(sorted(workspace.pool_dir.glob("*.lgad"))[0].read_bytes())
+        id_len = int.from_bytes(raw[5:7], "little")
+        raw[7 : 7 + id_len] = b"\xff" * id_len
+        (tmp_path / "bad.lgad").write_bytes(bytes(raw))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("bad.lgad\n")
+        code = main(["route", "--model", workspace.model, "--pool", str(manifest), "--input", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: format:")
+

@@ -3,52 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loraroute import (
-    ShapeMismatchError,
-    ValidationError,
-    as_matrix,
-    as_vector,
-    l2_norm,
-    matvec,
-    shannon_entropy,
-    softmax,
-)
-
-
-def naive_matvec(m, v):
-    # Independent double-loop reference.
-    out = []
-    for i in range(m.shape[0]):
-        acc = 0.0
-        for j in range(m.shape[1]):
-            acc += m[i, j] * v[j]
-        out.append(acc)
-    return np.array(out)
-
-
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), v), v)
-
-    def test_matches_naive_loop_up_to_256(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            rows = int(rng.integers(1, 257))
-            cols = int(rng.integers(1, 257))
-            m = rng.uniform(-1, 1, size=(rows, cols))
-            v = rng.uniform(-1, 1, size=cols)
-            np.testing.assert_allclose(matvec(m, v), naive_matvec(m, v), rtol=1e-12, atol=1e-12)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeMismatchError) as excinfo:
-            matvec(np.ones((3, 4)), np.ones(5))
-        msg = str(excinfo.value)
-        assert "3x4" in msg and "5" in msg
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            matvec(np.array([[1.0, np.nan]]), np.ones(2))
+from loraroute import ValidationError, as_vector, l2_norm, shannon_entropy, softmax
 
 
 class TestL2Norm:
@@ -137,15 +92,3 @@ class TestValidation:
     def test_as_vector_rejects_empty(self):
         with pytest.raises(ValidationError):
             as_vector(np.array([]))
-
-    def test_as_matrix_rejects_1d(self):
-        with pytest.raises(ValidationError):
-            as_matrix(np.ones(3))
-
-    def test_as_matrix_checks_requested_shape(self):
-        with pytest.raises(ShapeMismatchError):
-            as_matrix(np.ones((2, 3)), rows=4)
-
-    def test_as_matrix_rejects_inf(self):
-        with pytest.raises(ValidationError):
-            as_matrix(np.array([[1.0, np.inf]]))

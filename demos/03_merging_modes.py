@@ -1,11 +1,13 @@
 """Show that the two merge strategies compute the same function.
 
-"Mixture" keeps the selected adapters separate and rescales each one's
+"Mixture" keeps the selected adapters' factors and rescales each one's
 contribution by its routing weight; "fusion" collapses them into a single
 dense weight update first.  Mathematically both apply the same linear map,
 so hidden states agree to floating-point precision and greedy decoding emits
-identical tokens — fusion merely trades merge-time work for a rank-free
-per-token cost.
+identical tokens.  They differ only in cost: both are built once per
+request, and the mixture applies its stacked factors low-rank only while
+twice their total rank is below ``d_model`` (here 2 * 9 < 32), switching to
+the fusion's dense product otherwise.
 """
 
 import numpy as np

@@ -10,8 +10,9 @@ Inference attaches several adapters at once through one representation:
 the rank, with each adapter's scale folded into its columns of ``A``, so the
 summed delta is one right-to-left product ``A @ (B @ h)`` whose cost stays
 linear in the total rank.  The probe, the mixture merge and the fusion merge
-all build on it.  :func:`delta_apply` is the one-adapter reference that tests
-compare the stacked path against.
+all build on it; the merges stack once per request, the probe through
+:func:`adapter_hooks` at call time.  :func:`delta_apply` is the one-adapter
+reference that tests compare the stacked path against.
 
 The pool is a mutable registry keyed by adapter id.  Every successful add or
 remove bumps an integer ``revision``; readers take an atomic snapshot so a
@@ -233,32 +234,21 @@ def stack_factors(
     return a, b
 
 
-def adapter_hooks(
-    adapters: Sequence[LoraAdapter],
-    weights: Mapping[str, float] | None = None,
-) -> list[ProjectionHook]:
-    """Hooks attaching ``adapters`` to every (block, site) of a model.
-
-    With ``weights`` absent each adapter contributes at its own ``alpha``;
-    otherwise adapter ``i`` contributes at effective scale
-    ``weights[id] * alpha_i`` (the mixture-merge convention).  Adapters
-    missing from ``weights`` are dropped entirely.
+def adapter_hooks(adapters: Sequence[LoraAdapter]) -> list[ProjectionHook]:
+    """Hooks attaching ``adapters``, each at its own ``alpha``, to every (block, site).
 
     Each hook stacks its own site's factors when called, so a pool-wide
-    stack exists for one site at a time, never for every site at once.
+    stack exists for one site at a time, never for every site at once.  It
+    serves the probe, which attaches the whole pool, and single-adapter
+    callers; the merges stack once per request in :mod:`loraroute.routing`.
     """
-    if weights is not None:
-        adapters = [a for a in adapters if a.id in weights]
     adapters = tuple(adapters)
     if not adapters:
         return []
     n_blocks = adapters[0].n_blocks
     if any(a.n_blocks != n_blocks for a in adapters):
         raise ShapeMismatchError("adapters span different block counts")
-    if weights is None:
-        scales = [a.alpha for a in adapters]
-    else:
-        scales = [float(weights[a.id]) * a.alpha for a in adapters]
+    scales = [a.alpha for a in adapters]
 
     def fn(block: int, site: str, h: Array, base: Array) -> Array:
         a, b = stack_factors(adapters, scales, block, site)

@@ -9,12 +9,14 @@ Two equivalent merge constructions are provided:
 
 * ``mixture`` — keep the selected adapters' low-rank factors and rescale each
   one's effective alpha to ``w_i * alpha_i``; unselected adapters are simply
-  dropped.  Cost stays linear in the rank.
+  dropped.
 * ``fusion`` — materialize the dense update
   ``sum_i w_i * alpha_i * A_i @ B_i`` per (block, site).
 
-Both are built from the same stacked factors (:func:`stack_factors`): the
-mixture applies them low-rank, the fusion multiplies them out once.
+Both are built once per request from the same stacked factors
+(:func:`stack_factors`) and differ only in cost.  The fusion multiplies them
+out; the mixture, with ``R`` the total selected rank, applies them low-rank
+(``2 * R * d_model`` flops per token) while ``2 * R < d_model``, else dense.
 
 By linearity both produce the same deltas up to float roundoff; tests pin
 that equivalence, and the engine treats it as a correctness check.
@@ -27,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .adapters import AdapterPool, LoraAdapter, adapter_hooks, stack_factors
+from .adapters import AdapterPool, LoraAdapter, stack_factors
 from .backbone import HOOK_SITES, ProjectionHook
 from .errors import StaleDecisionError, ValidationError
 from .signals import SignalReport
@@ -122,35 +124,48 @@ def _resolve(pool: AdapterPool, decision: RoutingDecision) -> list[LoraAdapter]:
     return [by_id[s.adapter_id] for s in decision.selected]
 
 
-def mixture_hooks(pool: AdapterPool, decision: RoutingDecision) -> list[ProjectionHook]:
-    """Hooks realizing the mixture merge: selected adapters at ``w_i * alpha_i``."""
+def _stacked_sites(pool: AdapterPool, decision: RoutingDecision) -> dict:
+    """Selected adapters' stacked factors per (block, site), ``w_i * alpha_i`` folded in."""
     adapters = _resolve(pool, decision)
-    return adapter_hooks(adapters, weights=decision.weights())
+    weights = decision.weights()
+    scales = [weights[a.id] * a.alpha for a in adapters]
+    return {
+        (j, site): stack_factors(adapters, scales, j, site)
+        for j in range(pool.config.n_blocks)
+        for site in HOOK_SITES
+    }
+
+
+def _dense_hook(block: int, site: str, w: Array) -> ProjectionHook:
+    return ProjectionHook(block, site, lambda block_, site_, h, base: h @ w.T)
+
+
+def _low_rank_hook(block: int, site: str, a: Array, b: Array) -> ProjectionHook:
+    return ProjectionHook(block, site, lambda block_, site_, h, base: (h @ b.T) @ a.T)
+
+
+def mixture_hooks(pool: AdapterPool, decision: RoutingDecision) -> list[ProjectionHook]:
+    """Hooks realizing the mixture merge: selected adapters at ``w_i * alpha_i``.
+
+    Each site's operator is built once, here: low-rank while ``2 * R <
+    d_model`` (``R`` the total selected rank), else dense.
+    """
+    return [
+        _low_rank_hook(block, site, a, b) if 2 * a.shape[1] < a.shape[0]
+        else _dense_hook(block, site, a @ b)
+        for (block, site), (a, b) in _stacked_sites(pool, decision).items()
+    ]
 
 
 def fuse_parameters(pool: AdapterPool, decision: RoutingDecision) -> FusedDelta:
     """Materialize the dense merged update ``sum_i w_i * alpha_i * A_i @ B_i``."""
-    adapters = _resolve(pool, decision)
-    weights = decision.weights()
-    scales = [weights[a.id] * a.alpha for a in adapters]
-    n_blocks = pool.config.n_blocks
-    deltas: dict[tuple[int, str], Array] = {}
-    for j in range(n_blocks):
-        for site in HOOK_SITES:
-            a, b = stack_factors(adapters, scales, j, site)
-            deltas[(j, site)] = a @ b
-    return FusedDelta(n_blocks=n_blocks, d_model=pool.config.d_model, deltas=deltas)
+    deltas = {key: a @ b for key, (a, b) in _stacked_sites(pool, decision).items()}
+    return FusedDelta(n_blocks=pool.config.n_blocks, d_model=pool.config.d_model, deltas=deltas)
 
 
 def fused_hooks(fused: FusedDelta) -> list[ProjectionHook]:
     """Hooks applying a dense fused update: ``delta = h @ W.T`` per site."""
-    hooks = []
-    for (block, site), w in sorted(fused.deltas.items()):
-        def fn(block_: int, site_: str, h: Array, base: Array, _w: Array = w) -> Array:
-            return h @ _w.T
-
-        hooks.append(ProjectionHook(block, site, fn))
-    return hooks
+    return [_dense_hook(block, site, w) for (block, site), w in sorted(fused.deltas.items())]
 
 
 # -- decision serialization ------------------------------------------------------

@@ -3,12 +3,13 @@
 The probe attaches every pool adapter to the backbone at its own alpha and
 runs exactly one forward pass over the input tokens.  A zero-returning spy
 at the Q projection of one chosen block captures that projection's input
-``h``, produced with *all* adapters attached.  A token policy
-(first / last / mean) collapses the per-token rows of ``h`` to one vector,
-and by linearity each adapter ``i``'s contribution to the Q projection is
-``o_i = alpha_i * A_i @ B_i @ h`` on that vector, split out of one product
-over the stacked factors of the whole pool.  A scoring rule turns ``o_i``
-into a scalar:
+``h``, produced with *all* adapters attached at every block before it (no
+later block can reach ``h``).  A token policy (first / last / mean)
+collapses the per-token rows of ``h`` to one vector, and by linearity each
+adapter ``i``'s contribution to the Q projection is ``o_i = alpha_i * A_i @
+B_i @ h`` on that vector, split out of one product over the stacked factors
+of the whole pool.  A scoring rule turns each ``o_i`` into a scalar, for the
+whole pool in one row-wise pass:
 
 * ``norm`` — the Euclidean norm of ``o_i``; bigger response, bigger score.
 * ``inverse_entropy`` — softmax ``o_i`` and score ``1 / H``; the more peaked
@@ -27,7 +28,7 @@ import numpy as np
 from .adapters import AdapterPool, adapter_hooks, stack_factors
 from .backbone import Backbone, ProjectionHook
 from .errors import EmptyPoolError, ValidationError
-from .numcore import l2_norm, shannon_entropy, softmax
+from .numcore import as_vector
 
 Array = np.ndarray
 
@@ -99,18 +100,31 @@ class SignalReport:
         return {e.adapter_id: e.score for e in self.entries}
 
 
+def _score_rows(outputs: Array, scoring: str) -> Array:
+    """Score each row of an ``(N, d)`` block of captured projection outputs.
+
+    Entropy takes ``0 * ln 0 == 0``.  The block is made C-contiguous, so a
+    row scores bitwise the same alone as inside a block.
+    """
+    o = np.ascontiguousarray(outputs, dtype=np.float64)
+    if not np.all(np.isfinite(o)):
+        raise ValidationError("outputs contain non-finite entries")
+    if scoring == "norm":
+        return np.sqrt(np.sum(o * o, axis=1))
+    e = np.exp(o - o.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    h = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
+    return 1.0 / np.maximum(h, ENTROPY_FLOOR)
+
+
 def score_norm(output: Array) -> float:
     """Euclidean norm of the captured projection output."""
-    return l2_norm(output)
+    return float(_score_rows(as_vector(output)[None], "norm")[0])
 
 
 def score_inverse_entropy(output: Array) -> float:
     """Reciprocal Shannon entropy of the softmaxed projection output."""
-    h = shannon_entropy(softmax(output))
-    return 1.0 / max(h, ENTROPY_FLOOR)
-
-
-_SCORE_FNS = {"norm": score_norm, "inverse_entropy": score_inverse_entropy}
+    return float(_score_rows(as_vector(output)[None], "inverse_entropy")[0])
 
 
 def mean_pool_token(rows: Array, policy: str) -> Array:
@@ -135,10 +149,10 @@ def probe(
 ) -> SignalReport:
     """Score every pool adapter with a single instrumented forward pass.
 
-    All adapters are attached at their own alpha for the duration of the
-    pass, so the hidden states feeding the captured block reflect the fully
-    loaded model.  The pool is snapshotted first: the report is pinned to one
-    revision no matter what happens to the pool afterwards.
+    All adapters are attached at their own alpha, at every block before the
+    captured one, so the hidden states feeding the captured block reflect the
+    fully loaded model.  The pool is snapshotted first: the report is pinned
+    to one revision no matter what happens to the pool afterwards.
     """
     revision, adapters = pool.snapshot()
     if not adapters:
@@ -151,21 +165,23 @@ def probe(
         captured.append(h)
         return np.zeros_like(base)
 
-    backbone.forward(tokens, adapter_hooks(adapters) + [ProjectionHook(target, PROBE_SITE, spy)])
+    # The input to (target, Q) depends only on earlier blocks: attach there.
+    hooks = [hook for hook in adapter_hooks(adapters) if hook.block < target]
+    backbone.forward(tokens, hooks + [ProjectionHook(target, PROBE_SITE, spy)])
     pooled = mean_pool_token(captured[0], config.token_policy)
 
     a, b = stack_factors(adapters, [ad.alpha for ad in adapters], target, PROBE_SITE)
     starts = np.cumsum([0] + [ad.rank for ad in adapters[:-1]])
     # Column run i of ``a * (b @ pooled)`` summed is alpha_i * A_i @ B_i @ pooled.
     outputs = np.add.reduceat(a * (b @ pooled), starts, axis=1).T
-    score = _SCORE_FNS[config.scoring]
+    scores = _score_rows(outputs, config.scoring)
     return SignalReport(
         pool_revision=revision,
         target_block=target,
         token_policy=config.token_policy,
         scoring=config.scoring,
         entries=tuple(
-            SignalEntry(adapter_id=ad.id, output=out, score=score(out))
-            for ad, out in zip(adapters, outputs)
+            SignalEntry(adapter_id=ad.id, output=out, score=float(score))
+            for ad, out, score in zip(adapters, outputs, scores)
         ),
     )

@@ -219,15 +219,6 @@ class TestHookBuilder:
             want = delta_apply(ad, hook.block, hook.site, h)
             assert np.array_equal(got, want)
 
-    def test_weights_drop_missing_adapters(self, tiny_config):
-        a = make_adapter(tiny_config, "keep", seed=0)
-        b = make_adapter(tiny_config, "drop", seed=1)
-        hooks = adapter_hooks([a, b], weights={"keep": 1.0})
-        h = np.random.default_rng(1).normal(size=(2, tiny_config.d_model))
-        got = hooks[0].fn(hooks[0].block, hooks[0].site, h, np.zeros_like(h))
-        want = delta_apply(a, hooks[0].block, hooks[0].site, h)
-        assert np.array_equal(got, want)
-
     def test_empty_adapter_list_gives_no_hooks(self):
         assert adapter_hooks([]) == []
 

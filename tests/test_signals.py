@@ -208,20 +208,32 @@ class TestProbe:
 
 
 class TestStackedProbeMatchesReference:
-    @pytest.mark.parametrize("policy", ["first", "last", "mean"])
-    @pytest.mark.parametrize("scoring", ["norm", "inverse_entropy"])
-    def test_mixed_rank_outputs_and_scores(self, tiny_backbone, tiny_config, policy, scoring):
-        pool = make_mixed_pool(tiny_config)
-        config = SignalConfig(token_policy=policy, scoring=scoring)
+    def check_against_reference(self, backbone, config, signal):
+        pool = make_mixed_pool(config)
         tokens = [5, 9, 2, 33, 7]
-        report = probe(tiny_backbone, pool, tokens, config)
-        want = reference_outputs(tiny_backbone, pool.snapshot()[1], tokens, config)
-        score = {"norm": score_norm, "inverse_entropy": score_inverse_entropy}[scoring]
+        report = probe(backbone, pool, tokens, signal)
+        want = reference_outputs(backbone, pool.snapshot()[1], tokens, signal)
+        score = {"norm": score_norm, "inverse_entropy": score_inverse_entropy}[signal.scoring]
         assert [e.adapter_id for e in report.entries] == sorted(want)
         for entry in report.entries:
             ref = want[entry.adapter_id]
             np.testing.assert_allclose(entry.output, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
             assert entry.score == pytest.approx(score(ref), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("policy", ["first", "last", "mean"])
+    @pytest.mark.parametrize("scoring", ["norm", "inverse_entropy"])
+    def test_mixed_rank_outputs_and_scores(self, tiny_backbone, tiny_config, policy, scoring):
+        config = SignalConfig(token_policy=policy, scoring=scoring)
+        self.check_against_reference(tiny_backbone, tiny_config, config)
+
+    # The reference attaches every adapter at every block, the probe only
+    # before the target; block 0 has nothing before it.
+    @pytest.mark.parametrize("policy", ["first", "last", "mean"])
+    @pytest.mark.parametrize("scoring", ["norm", "inverse_entropy"])
+    @pytest.mark.parametrize("target_block", [0, 1])
+    def test_every_target_block(self, tiny_backbone, tiny_config, policy, scoring, target_block):
+        config = SignalConfig(target_block=target_block, token_policy=policy, scoring=scoring)
+        self.check_against_reference(tiny_backbone, tiny_config, config)
 
 
 class TestSignalConfig:

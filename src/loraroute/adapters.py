@@ -9,10 +9,10 @@ Inference attaches several adapters at once through one representation:
 :func:`stack_factors` concatenates their factors at one (block, site) along
 the rank, with each adapter's scale folded into its columns of ``A``, so the
 summed delta is one right-to-left product ``A @ (B @ h)`` whose cost stays
-linear in the total rank.  The probe, the mixture merge and the fusion merge
-all build on it; the merges stack once per request, the probe through
-:func:`adapter_hooks` at call time.  :func:`delta_apply` is the one-adapter
-reference that tests compare the stacked path against.
+linear in the total rank.  The probe applies it so, through
+:func:`adapter_hooks`, stacking at call time; the mixture and fusion merges
+stack once per request and multiply the factors out.  :func:`delta_apply`
+is the one-adapter reference that tests compare the stacked path against.
 
 The pool is a mutable registry keyed by adapter id.  Every successful add or
 remove bumps an integer ``revision``; readers take an atomic snapshot so a

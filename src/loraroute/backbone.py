@@ -18,7 +18,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -327,6 +327,21 @@ class Backbone:
         later token reuses cached keys/values.  Every pass, full or
         incremental, bumps ``forward_count`` by one.
         """
+        steps = list(self.decode(prompt, hooks, max_new, eos_token))
+        return GenerationResult([tok for tok, _ in steps], [ms for _, ms in steps])
+
+    def decode(
+        self,
+        prompt: Sequence[int],
+        hooks: Iterable[ProjectionHook] = (),
+        max_new: int = 0,
+        eos_token: int | None = None,
+    ) -> Iterator[tuple[int, float]]:
+        """:meth:`generate` one token at a time: yields each ``(token, ms)``.
+
+        The arguments are checked on the call, before any token is decoded;
+        a caller can interleave two decodes step by step.
+        """
         ids = self._validate_tokens(prompt)
         if not isinstance(max_new, int) or max_new < 0:
             raise ValidationError(f"max_new must be a non-negative integer, got {max_new!r}")
@@ -335,28 +350,32 @@ class Backbone:
                 f"prompt of {ids.size} tokens + {max_new} new tokens exceeds "
                 f"max_seq_len {self.config.max_seq_len}"
             )
-        grouped = self._group_hooks(hooks)
-        tokens: list[int] = []
-        per_token_ms: list[float] = []
-        if max_new == 0:
-            return GenerationResult(tokens, per_token_ms)
+        return self._decode(ids, self._group_hooks(hooks), max_new, eos_token)
 
+    def _decode(
+        self,
+        ids: Array,
+        grouped: dict[tuple[int, str], list[HookFn]],
+        max_new: int,
+        eos_token: int | None,
+    ) -> Iterator[tuple[int, float]]:
+        if max_new == 0:
+            return
         cache = _KVCache(self.config)
         start = time.perf_counter()
         self.forward_count += 1
         _, last_logits = self._forward_full(ids, grouped, cache)
         tok = int(np.argmax(last_logits))
-        per_token_ms.append((time.perf_counter() - start) * 1e3)
-        tokens.append(tok)
+        yield tok, (time.perf_counter() - start) * 1e3
         position = ids.size
-        while len(tokens) < max_new and tok != eos_token:
+        for _ in range(max_new - 1):
+            if tok == eos_token:
+                return
             start = time.perf_counter()
             last_logits = self._extend(tok, position, grouped, cache)
             tok = int(np.argmax(last_logits))
-            per_token_ms.append((time.perf_counter() - start) * 1e3)
-            tokens.append(tok)
+            yield tok, (time.perf_counter() - start) * 1e3
             position += 1
-        return GenerationResult(tokens, per_token_ms)
 
     # -- serialization ----------------------------------------------------------
 

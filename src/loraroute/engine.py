@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .adapters import AdapterPool
-from .backbone import Backbone
+from .backbone import Backbone, ProjectionHook
 from .errors import ValidationError
 from .routing import (
     MERGE_MODES,
@@ -76,6 +76,27 @@ def route_only(
     return select_topk(report, config.k)
 
 
+def route_and_merge(
+    backbone: Backbone,
+    pool: AdapterPool,
+    tokens: Sequence[int],
+    config: EngineConfig = EngineConfig(),
+) -> tuple[RoutingDecision, list[ProjectionHook], dict[str, float]]:
+    """Probe, select and merge: the decision, the merged hooks and the stage timings."""
+    t0 = time.perf_counter()
+    report = probe(backbone, pool, tokens, config.signal)
+    probe_ms = (time.perf_counter() - t0) * 1e3
+
+    t0 = time.perf_counter()
+    decision = select_topk(report, config.k)
+    if config.merge_mode == "mixture":
+        hooks = mixture_hooks(pool, decision)
+    else:
+        hooks = fused_hooks(fuse_parameters(pool, decision))
+    select_merge_ms = (time.perf_counter() - t0) * 1e3
+    return decision, hooks, {"probe_ms": probe_ms, "select_merge_ms": select_merge_ms}
+
+
 def route_and_generate(
     backbone: Backbone,
     pool: AdapterPool,
@@ -91,28 +112,12 @@ def route_and_generate(
     is the full prefill under the merged configuration).
     """
     start_count = backbone.forward_count
-
-    t0 = time.perf_counter()
-    report = probe(backbone, pool, tokens, config.signal)
-    probe_ms = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    decision = select_topk(report, config.k)
-    if config.merge_mode == "mixture":
-        hooks = mixture_hooks(pool, decision)
-    else:
-        hooks = fused_hooks(fuse_parameters(pool, decision))
-    select_merge_ms = (time.perf_counter() - t0) * 1e3
-
+    decision, hooks, timings = route_and_merge(backbone, pool, tokens, config)
     generated = backbone.generate(tokens, hooks, max_new=max_new, eos_token=eos_token)
     return RouteResult(
         decision=decision,
         output_tokens=generated.tokens,
-        timings={
-            "probe_ms": probe_ms,
-            "select_merge_ms": select_merge_ms,
-            "per_token_ms": generated.per_token_ms,
-        },
+        timings={**timings, "per_token_ms": generated.per_token_ms},
         forward_pass_count=backbone.forward_count - start_count,
     )
 

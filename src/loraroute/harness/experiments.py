@@ -26,7 +26,7 @@ from scipy import stats
 
 from ..adapters import AdapterPool
 from ..backbone import Backbone
-from ..engine import EngineConfig, amortized_per_token_ms, route_and_generate, route_only
+from ..engine import EngineConfig, route_and_generate, route_and_merge, route_only
 from ..errors import ValidationError
 from ..signals import SignalConfig, probe
 from .reports import ExperimentReport, minmax_normalize_columns
@@ -363,10 +363,10 @@ def timing_sweep(
     The routed figure charges the whole fixed routing cost (probe plus
     select/merge) to the first emitted token, then averages over all emitted
     tokens — so it falls as generation length grows.  The base figure runs
-    the same prompt through the unadapted backbone.  Each measurement is the
-    minimum over ``repeats`` runs (timing noise is one-sided), with the two
-    paths interleaved inside every repeat so machine-load drift cannot land
-    on one side only.
+    the same prompt through the unadapted backbone.  The two decodes run in
+    lockstep, one routed token then one base token, so a change in machine
+    load lands on both sides alike; each figure is the minimum over
+    ``repeats`` such runs (timing noise is one-sided).
     """
     lengths = [int(x) for x in lengths]
     if not lengths:
@@ -395,14 +395,14 @@ def timing_sweep(
     for length in lengths:
         routed_runs, base_runs = [], []
         for _ in range(repeats):
-            routed_runs.append(
-                float(np.mean(amortized_per_token_ms(
-                    route_and_generate(backbone, pool, prompt, cfg, max_new=length)
-                )))
-            )
-            base_runs.append(
-                float(np.mean(backbone.generate(prompt, (), max_new=length).per_token_ms))
-            )
+            _, hooks, timings = route_and_merge(backbone, pool, prompt, cfg)
+            routed = backbone.decode(prompt, hooks, max_new=length)
+            base = backbone.decode(prompt, (), max_new=length)
+            ms = np.array([(r, b) for (_, r), (_, b) in zip(routed, base)])
+            # The routing overhead is charged to the first token, as in amortized_per_token_ms.
+            overhead = timings["probe_ms"] + timings["select_merge_ms"]
+            routed_runs.append(float((ms[:, 0].sum() + overhead) / len(ms)))
+            base_runs.append(float(ms[:, 1].mean()))
         records.append(
             {
                 "length": length,

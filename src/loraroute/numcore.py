@@ -1,10 +1,12 @@
 """Dense float64 kernels used throughout the package.
 
-Inputs are validated once at the boundary (:func:`as_vector`); the kernels
-themselves assume clean data.  Everything is
-plain numpy — no exotic numerics, just the few conventions that matter
-spelled out: softmax subtracts the max before exponentiating, and entropy
-treats ``0 * ln 0`` as zero.
+Inputs are validated once at the boundary: :func:`as_vector` takes one
+vector, the kernels take one vector ``(d,)`` or a block of rows ``(N, d)``,
+made C-contiguous.  The kernels reduce along the last axis, so a block is
+one pass and a row gives bitwise the same result alone as inside a block.
+Everything is plain numpy — no exotic numerics, just the few conventions
+that matter spelled out: softmax subtracts the max before exponentiating,
+and entropy treats ``0 * ln 0`` as zero.
 """
 from __future__ import annotations
 
@@ -21,39 +23,49 @@ Array = np.ndarray
 DISTRIBUTION_ATOL = 1e-9
 
 
-def as_vector(data: Any) -> Array:
-    """Coerce ``data`` to a finite 1-D float64 array of length >= 1."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValidationError(f"expected a 1-D vector of length >= 1, got shape {v.shape}")
+def _as_rows(data: Any) -> Array:
+    """Coerce ``data`` to a finite C-contiguous float64 vector ``(d,)`` or rows ``(N, d)``."""
+    v = np.ascontiguousarray(data, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.size < 1:
+        raise ValidationError(f"expected a vector or rows of length >= 1, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("vector contains non-finite entries")
     return v
 
 
-def l2_norm(v: Array) -> float:
-    """Euclidean norm of ``v``."""
-    return float(np.linalg.norm(as_vector(v)))
+def as_vector(data: Any) -> Array:
+    """Coerce ``data`` to a finite 1-D float64 array of length >= 1."""
+    v = _as_rows(data)
+    if v.ndim != 1:
+        raise ValidationError(f"expected a 1-D vector of length >= 1, got shape {v.shape}")
+    return v
+
+
+def l2_norm(v: Array) -> Array:
+    """Euclidean norm of ``v``, or of each of its rows."""
+    v = _as_rows(v)
+    return np.sqrt(np.sum(v * v, axis=-1))
 
 
 def softmax(v: Array) -> Array:
-    """Numerically stable softmax: exponentials of ``v - max(v)``, normalized."""
-    v = as_vector(v)
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
+    """Numerically stable softmax of ``v`` or of each row: ``exp(v - max(v))``, normalized."""
+    v = _as_rows(v)
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def shannon_entropy(p: Array) -> float:
-    """Shannon entropy ``-sum(p * ln p)`` in nats, with ``0 * ln 0 == 0``.
+def shannon_entropy(p: Array) -> Array:
+    """Shannon entropy ``-sum(p * ln p)`` in nats of ``p`` or of each row, ``0 * ln 0 == 0``.
 
-    ``p`` must be a probability vector: non-negative entries summing to one
-    within :data:`DISTRIBUTION_ATOL`.
+    Each row must be a probability vector: non-negative entries summing to
+    one within :data:`DISTRIBUTION_ATOL`.
     """
-    p = as_vector(p)
+    p = _as_rows(p)
     if np.any(p < 0.0):
         raise ValidationError("entropy input has negative components")
-    total = float(np.sum(p))
-    if abs(total - 1.0) > DISTRIBUTION_ATOL:
+    totals = np.sum(p, axis=-1)
+    bad = np.abs(totals - 1.0) > DISTRIBUTION_ATOL
+    if np.any(bad):
+        total = float(np.ravel(totals)[np.argmax(bad)])
         raise ValidationError(f"entropy input sums to {total!r}, not 1")
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)

@@ -7,19 +7,18 @@ weights rather than dividing by zero.
 
 Two equivalent merge constructions are provided:
 
-* ``mixture`` — keep the selected adapters' low-rank factors and rescale each
-  one's effective alpha to ``w_i * alpha_i``; unselected adapters are simply
-  dropped.
+* ``mixture`` — keep the selected adapters and rescale each one's effective
+  alpha to ``w_i * alpha_i``; unselected adapters are simply dropped.
 * ``fusion`` — materialize the dense update
   ``sum_i w_i * alpha_i * A_i @ B_i`` per (block, site).
 
-Both are built once per request from the same stacked factors
-(:func:`stack_factors`) and differ only in cost.  The fusion multiplies them
-out; the mixture, with ``R`` the total selected rank, applies them low-rank
-(``2 * R * d_model`` flops per token) while ``2 * R < d_model``, else dense.
-
-By linearity both produce the same deltas up to float roundoff; tests pin
-that equivalence, and the engine treats it as a correctness check.
+By linearity both are the same map, so both are built the same way, once
+per request: one product of the selected adapters' stacked factors
+(:func:`stack_factors`) per site, applied as that dense matrix.  Applying
+the stacked factors low-rank instead only pays off for wide models; at the
+widths of this package's models (``d_model`` 32 and 64) one dense product
+per token is cheaper than two thin ones.  Tests pin both modes to the
+per-adapter reference :func:`delta_apply`.
 """
 from __future__ import annotations
 
@@ -124,48 +123,40 @@ def _resolve(pool: AdapterPool, decision: RoutingDecision) -> list[LoraAdapter]:
     return [by_id[s.adapter_id] for s in decision.selected]
 
 
-def _stacked_sites(pool: AdapterPool, decision: RoutingDecision) -> dict:
-    """Selected adapters' stacked factors per (block, site), ``w_i * alpha_i`` folded in."""
-    adapters = _resolve(pool, decision)
-    weights = decision.weights()
-    scales = [weights[a.id] * a.alpha for a in adapters]
-    return {
-        (j, site): stack_factors(adapters, scales, j, site)
-        for j in range(pool.config.n_blocks)
-        for site in HOOK_SITES
-    }
-
-
-def _dense_hook(block: int, site: str, w: Array) -> ProjectionHook:
-    return ProjectionHook(block, site, lambda block_, site_, h, base: h @ w.T)
-
-
-def _low_rank_hook(block: int, site: str, a: Array, b: Array) -> ProjectionHook:
-    return ProjectionHook(block, site, lambda block_, site_, h, base: (h @ b.T) @ a.T)
-
-
 def mixture_hooks(pool: AdapterPool, decision: RoutingDecision) -> list[ProjectionHook]:
     """Hooks realizing the mixture merge: selected adapters at ``w_i * alpha_i``.
 
-    Each site's operator is built once, here: low-rank while ``2 * R <
-    d_model`` (``R`` the total selected rank), else dense.
+    By linearity that is the fusion's update, so each site's operator is
+    built once, here, as the fusion's dense matrix.
     """
-    return [
-        _low_rank_hook(block, site, a, b) if 2 * a.shape[1] < a.shape[0]
-        else _dense_hook(block, site, a @ b)
-        for (block, site), (a, b) in _stacked_sites(pool, decision).items()
-    ]
+    return fused_hooks(fuse_parameters(pool, decision))
 
 
 def fuse_parameters(pool: AdapterPool, decision: RoutingDecision) -> FusedDelta:
-    """Materialize the dense merged update ``sum_i w_i * alpha_i * A_i @ B_i``."""
-    deltas = {key: a @ b for key, (a, b) in _stacked_sites(pool, decision).items()}
+    """Materialize the dense merged update ``sum_i w_i * alpha_i * A_i @ B_i``.
+
+    An empty selection merges to the bare model: no deltas at all.
+    """
+    adapters = _resolve(pool, decision)
+    weights = decision.weights()
+    scales = [weights[a.id] * a.alpha for a in adapters]
+    deltas: dict[tuple[int, str], Array] = {}
+    for j in range(pool.config.n_blocks if adapters else 0):  # none: bare model
+        for site in HOOK_SITES:
+            a, b = stack_factors(adapters, scales, j, site)
+            deltas[(j, site)] = a @ b
     return FusedDelta(n_blocks=pool.config.n_blocks, d_model=pool.config.d_model, deltas=deltas)
 
 
 def fused_hooks(fused: FusedDelta) -> list[ProjectionHook]:
     """Hooks applying a dense fused update: ``delta = h @ W.T`` per site."""
-    return [_dense_hook(block, site, w) for (block, site), w in sorted(fused.deltas.items())]
+    hooks = []
+    for (block, site), w in sorted(fused.deltas.items()):
+        def fn(block_: int, site_: str, h: Array, base: Array, _w: Array = w) -> Array:
+            return h @ _w.T
+
+        hooks.append(ProjectionHook(block, site, fn))
+    return hooks
 
 
 # -- decision serialization ------------------------------------------------------

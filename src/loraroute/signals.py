@@ -28,7 +28,7 @@ import numpy as np
 from .adapters import AdapterPool, adapter_hooks, stack_factors
 from .backbone import Backbone, ProjectionHook
 from .errors import EmptyPoolError, ValidationError
-from .numcore import as_vector
+from .numcore import as_vector, l2_norm, shannon_entropy, softmax
 
 Array = np.ndarray
 
@@ -101,30 +101,20 @@ class SignalReport:
 
 
 def _score_rows(outputs: Array, scoring: str) -> Array:
-    """Score each row of an ``(N, d)`` block of captured projection outputs.
-
-    Entropy takes ``0 * ln 0 == 0``.  The block is made C-contiguous, so a
-    row scores bitwise the same alone as inside a block.
-    """
-    o = np.ascontiguousarray(outputs, dtype=np.float64)
-    if not np.all(np.isfinite(o)):
-        raise ValidationError("outputs contain non-finite entries")
+    """Score each row of an ``(N, d)`` block of captured projection outputs."""
     if scoring == "norm":
-        return np.sqrt(np.sum(o * o, axis=1))
-    e = np.exp(o - o.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    h = -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=1)
-    return 1.0 / np.maximum(h, ENTROPY_FLOOR)
+        return l2_norm(outputs)
+    return 1.0 / np.maximum(shannon_entropy(softmax(outputs)), ENTROPY_FLOOR)
 
 
 def score_norm(output: Array) -> float:
     """Euclidean norm of the captured projection output."""
-    return float(_score_rows(as_vector(output)[None], "norm")[0])
+    return float(_score_rows(as_vector(output), "norm"))
 
 
 def score_inverse_entropy(output: Array) -> float:
     """Reciprocal Shannon entropy of the softmaxed projection output."""
-    return float(_score_rows(as_vector(output)[None], "inverse_entropy")[0])
+    return float(_score_rows(as_vector(output), "inverse_entropy"))
 
 
 def mean_pool_token(rows: Array, policy: str) -> Array:

@@ -178,6 +178,14 @@ class TestGenerate:
         out = tiny_backbone.generate([1, 2, 3], max_new=0)
         assert out.tokens == [] and out.per_token_ms == []
 
+    def test_decode_checks_arguments_on_the_call_and_steps_lazily(self, tiny_backbone):
+        with pytest.raises(ContextOverflowError):
+            tiny_backbone.decode([1, 2, 3], max_new=10_000)
+        before = tiny_backbone.forward_count
+        steps = tiny_backbone.decode([1, 2, 3], max_new=4)
+        assert tiny_backbone.forward_count == before
+        assert [tok for tok, _ in steps] == tiny_backbone.generate([1, 2, 3], max_new=4).tokens
+
     def test_emits_requested_count_with_timings(self, tiny_backbone):
         out = tiny_backbone.generate([1, 2, 3], max_new=8)
         assert len(out.tokens) == 8

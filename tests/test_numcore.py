@@ -92,3 +92,33 @@ class TestValidation:
     def test_as_vector_rejects_empty(self):
         with pytest.raises(ValidationError):
             as_vector(np.array([]))
+
+
+class TestRowWise:
+    KERNELS = {
+        "l2_norm": l2_norm,
+        "softmax": softmax,
+        "entropy_of_softmax": lambda v: shannon_entropy(softmax(v)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_block_rows_match_single_vectors_bitwise(self, name):
+        kernel = self.KERNELS[name]
+        rows = np.random.default_rng(9).normal(size=(7, 33))
+        # A Fortran-ordered block must score like its rows taken one at a time.
+        block = kernel(np.asfortranarray(rows))
+        assert len(block) == len(rows)
+        for got, row in zip(block, rows):
+            np.testing.assert_array_equal(got, kernel(row))
+
+    def test_rejects_one_non_finite_row(self):
+        rows = np.ones((3, 4))
+        rows[1, 2] = np.inf
+        with pytest.raises(ValidationError):
+            l2_norm(rows)
+
+    def test_entropy_rejects_one_bad_row_sum(self):
+        rows = np.full((3, 4), 0.25)
+        rows[2, 0] = 0.5
+        with pytest.raises(ValidationError, match="1.25"):
+            shannon_entropy(rows)

@@ -3,7 +3,6 @@ import pytest
 
 import loraroute.routing as routing
 from loraroute import (
-    EngineConfig,
     SignalEntry,
     SignalReport,
     StaleDecisionError,
@@ -16,7 +15,6 @@ from loraroute import (
     mixture_hooks,
     normalize_weights,
     probe,
-    route_and_generate,
     select_topk,
 )
 
@@ -210,6 +208,30 @@ class TestMerging:
             dense = h @ fused.deltas[(hook.block, hook.site)].T
             np.testing.assert_allclose(dense, want, rtol=0, atol=tol)
 
+    def test_empty_decision_merges_to_bare_model(self, tiny_config):
+        pool = make_pool(tiny_config, 3)
+        decision = decision_from_json('{"pool_revision": 1, "k": 1, "scoring": "norm", "entries": []}')
+        assert mixture_hooks(pool, decision) == []
+        assert fused_hooks(fuse_parameters(pool, decision)) == []
+
+    def test_stacks_once_per_site_and_never_while_decoding(
+        self, monkeypatch, tiny_config, tiny_backbone, small_pool
+    ):
+        decision = select_topk(probe(tiny_backbone, small_pool, [3, 1, 4]), 3)
+        stacks = []
+
+        def counted(*args):
+            stacks.append(args)
+            return original(*args)
+
+        original = routing.stack_factors
+        monkeypatch.setattr(routing, "stack_factors", counted)
+        hooks = mixture_hooks(small_pool, decision)
+        assert len(stacks) == 2 * tiny_config.n_blocks
+        stacks.clear()
+        tiny_backbone.generate([3, 1, 4], hooks, max_new=8)
+        assert stacks == []
+
     def test_stale_decision_mixture(self, tiny_config):
         pool = make_pool(tiny_config, 3)
         decision = select_topk(report_from_scores({"ad00": 1.0, "ad01": 2.0, "ad02": 3.0}), 2)
@@ -223,61 +245,6 @@ class TestMerging:
         pool.remove("ad02")
         with pytest.raises(StaleDecisionError):
             fuse_parameters(pool, decision)
-
-
-class TestMergedOperator:
-    """The mixture builds each site's operator once, low-rank or dense by cost."""
-
-    def count_calls(self, monkeypatch, name):
-        calls = []
-        original = getattr(routing, name)
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(routing, name, counted)
-        return calls
-
-    def test_stacks_once_per_site_and_never_while_decoding(
-        self, monkeypatch, tiny_config, tiny_backbone, small_pool
-    ):
-        decision = select_topk(probe(tiny_backbone, small_pool, [3, 1, 4]), 3)
-        stacks = self.count_calls(monkeypatch, "stack_factors")
-        hooks = mixture_hooks(small_pool, decision)
-        assert len(stacks) == 2 * tiny_config.n_blocks
-        stacks.clear()
-        tiny_backbone.generate([3, 1, 4], hooks, max_new=8)
-        assert stacks == []
-
-    # d_model is 32: total rank 12 takes the low-rank branch, 16 the dense one.
-    @pytest.mark.parametrize("pool_kind, k, dense", [("mixed", 3, False), ("small", 4, True)])
-    def test_both_branches_match_delta_apply_and_fusion_tokens(
-        self, monkeypatch, tiny_config, tiny_backbone, small_pool, pool_kind, k, dense
-    ):
-        pool = make_mixed_pool(tiny_config) if pool_kind == "mixed" else small_pool
-        prompt = [5, 9, 2, 33, 7]
-        decision = select_topk(probe(tiny_backbone, pool, prompt), k)
-        total_rank = sum(pool.get(i).rank for i in decision.ids())
-        assert (2 * total_rank >= tiny_config.d_model) == dense
-        dense_builds = self.count_calls(monkeypatch, "_dense_hook")
-        hooks = mixture_hooks(pool, decision)
-        assert len(dense_builds) == (2 * tiny_config.n_blocks if dense else 0)
-        h = np.random.default_rng(8).normal(size=(5, tiny_config.d_model))
-        for hook in hooks:
-            want = sum(
-                delta_apply(pool.get(i), hook.block, hook.site, h, alpha_override=w * pool.get(i).alpha)
-                for i, w in decision.weights().items()
-            )
-            got = hook.fn(hook.block, hook.site, h, np.zeros_like(h))
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
-        tokens = {
-            mode: route_and_generate(
-                tiny_backbone, pool, prompt, EngineConfig(k=k, merge_mode=mode), max_new=12
-            ).output_tokens
-            for mode in ("mixture", "fusion")
-        }
-        assert tokens["mixture"] == tokens["fusion"]
 
 
 class TestDecisionJson:

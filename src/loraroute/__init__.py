@@ -34,7 +34,6 @@ from .engine import (
     DEFAULT_K,
     EngineConfig,
     RouteResult,
-    amortized_per_token_ms,
     route_and_generate,
     route_only,
     route_result_to_json,

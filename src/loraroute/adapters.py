@@ -10,8 +10,8 @@ Inference attaches several adapters at once through one representation:
 the rank, with each adapter's scale folded into its columns of ``A``, so the
 summed delta is one right-to-left product ``A @ (B @ h)`` whose cost stays
 linear in the total rank.  The probe applies it so, through
-:func:`adapter_hooks`, stacking at call time; the mixture and fusion merges
-stack once per request and multiply the factors out.  :func:`delta_apply`
+:func:`adapter_hooks`, stacking at call time; the merge stacks once per
+request and multiplies the factors out.  :func:`delta_apply`
 is the one-adapter reference that tests compare the stacked path against.
 
 The pool is a mutable registry keyed by adapter id.  Every successful add or

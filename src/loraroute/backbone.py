@@ -7,6 +7,10 @@ embeddings, and greedy decoding.  Weights are frozen after initialization
 time is through :class:`ProjectionHook` objects, which add a delta to the
 output of the Q or V projection of a chosen block.
 
+Every pass runs one block loop over a run of positions: a full forward
+runs the whole sequence with no cache; greedy decoding runs the prompt (the
+prefill) and then each emitted token against a key/value cache.
+
 A backbone serializes to a single binary file (magic ``LGBK``) that
 round-trips bitwise, and exposes ``forward_count`` so callers can assert how
 many passes an operation really issued.
@@ -87,15 +91,14 @@ class ProjectionHook:
 
 @dataclass
 class HiddenTrace:
-    """Per-position activations captured by a full forward pass.
+    """Per-position outputs of a forward pass.
 
-    ``block_inputs[j]`` is the residual-stream value entering block ``j``
-    (shape ``(T, d_model)``); ``final_hidden`` is the post-final-layernorm
-    hidden state feeding the unembedding; ``logits`` has shape
-    ``(T, vocab_size)``.
+    ``final_hidden`` is the post-final-layernorm hidden state feeding the
+    unembedding (shape ``(T, d_model)``); ``logits`` has shape
+    ``(T, vocab_size)``.  No per-block activation is kept; a caller that
+    needs one attaches a :class:`ProjectionHook` at that block.
     """
 
-    block_inputs: list[Array]
     final_hidden: Array
     logits: Array
 
@@ -136,7 +139,6 @@ class _KVCache:
         shape = (config.n_blocks, config.n_heads, config.max_seq_len, dh)
         self.k = np.empty(shape, dtype=np.float64)
         self.v = np.empty(shape, dtype=np.float64)
-        self.filled = 0
 
 
 class Backbone:
@@ -241,77 +243,52 @@ class Backbone:
         return x.transpose(1, 0, 2).reshape(x.shape[1], self.config.d_model)
 
     def forward(self, tokens: Sequence[int], hooks: Iterable[ProjectionHook] = ()) -> HiddenTrace:
-        """Run a full causal forward pass; returns the activation trace."""
+        """Run a full causal forward pass; returns the final hidden state and logits."""
         ids = self._validate_tokens(tokens)
         grouped = self._group_hooks(hooks)
         self.forward_count += 1
-        trace, _ = self._forward_full(ids, grouped, cache=None)
-        return trace
+        return self._run(ids, 0, grouped, cache=None)
 
-    def _forward_full(
+    def _run(
         self,
         ids: np.ndarray,
+        start: int,
         grouped: dict[tuple[int, str], list[HookFn]],
         cache: _KVCache | None,
-    ) -> tuple[HiddenTrace, Array]:
+    ) -> HiddenTrace:
+        """Run ``ids`` at positions ``start .. start+T`` through every block.
+
+        With a cache, each block writes its keys and values there and attends
+        over every position cached so far; without one (``start`` must be 0)
+        it attends over ``ids`` alone.  A single token sees every earlier
+        position, so the causal mask is only built when more run.
+        """
         cfg = self.config
         t = ids.size
+        end = start + t
         dh = cfg.d_model // cfg.n_heads
-        x = self.embed[ids] + self.pos[:t]
-        mask = np.triu(np.full((t, t), -np.inf), k=1)
+        x = self.embed[ids] + self.pos[start:end]
+        mask = np.triu(np.full((t, end), -np.inf), k=start + 1) if t > 1 else None
 
-        block_inputs: list[Array] = []
         for j, blk in enumerate(self.blocks):
-            block_inputs.append(x.copy())
             u = _layer_norm(x, blk.ln1_g, blk.ln1_b)
             q = self._apply_hooks(grouped, j, "Q", u, u @ blk.wq.T)
             k = u @ blk.wk.T
             v = self._apply_hooks(grouped, j, "V", u, u @ blk.wv.T)
             qh, kh, vh = self._split_heads(q), self._split_heads(k), self._split_heads(v)
             if cache is not None:
-                cache.k[j, :, :t] = kh
-                cache.v[j, :, :t] = vh
-            scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh) + mask
-            attn = _softmax_last(scores)
-            x = x + self._merge_heads(attn @ vh) @ blk.wo.T
-            w = _layer_norm(x, blk.ln2_g, blk.ln2_b)
-            x = x + _gelu(w @ blk.w1.T) @ blk.w2.T
-
-        if cache is not None:
-            cache.filled = t
-        final_hidden = _layer_norm(x, self.ln_f_g, self.ln_f_b)
-        logits = final_hidden @ self.unembed.T
-        return HiddenTrace(block_inputs, final_hidden, logits), logits[-1]
-
-    def _extend(
-        self,
-        token: int,
-        position: int,
-        grouped: dict[tuple[int, str], list[HookFn]],
-        cache: _KVCache,
-    ) -> Array:
-        """Decode one token at ``position`` against cached keys/values."""
-        cfg = self.config
-        dh = cfg.d_model // cfg.n_heads
-        self.forward_count += 1
-        x = (self.embed[token] + self.pos[position])[None, :]
-        for j, blk in enumerate(self.blocks):
-            u = _layer_norm(x, blk.ln1_g, blk.ln1_b)
-            q = self._apply_hooks(grouped, j, "Q", u, u @ blk.wq.T)
-            k = u @ blk.wk.T
-            v = self._apply_hooks(grouped, j, "V", u, u @ blk.wv.T)
-            qh = self._split_heads(q)  # (H, 1, dh)
-            cache.k[j, :, position] = self._split_heads(k)[:, 0]
-            cache.v[j, :, position] = self._split_heads(v)[:, 0]
-            kh = cache.k[j, :, : position + 1]
-            vh = cache.v[j, :, : position + 1]
+                cache.k[j, :, start:end] = kh
+                cache.v[j, :, start:end] = vh
+                kh, vh = cache.k[j, :, :end], cache.v[j, :, :end]
             scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+            if mask is not None:
+                scores += mask
             attn = _softmax_last(scores)
             x = x + self._merge_heads(attn @ vh) @ blk.wo.T
             w = _layer_norm(x, blk.ln2_g, blk.ln2_b)
             x = x + _gelu(w @ blk.w1.T) @ blk.w2.T
         final_hidden = _layer_norm(x, self.ln_f_g, self.ln_f_b)
-        return (final_hidden @ self.unembed.T)[0]
+        return HiddenTrace(final_hidden, final_hidden @ self.unembed.T)
 
     def generate(
         self,
@@ -322,10 +299,10 @@ class Backbone:
     ) -> GenerationResult:
         """Greedy decoding with per-token wall-clock timings.
 
-        Decoding is incremental: the prompt is processed by one full forward
-        pass (whose time is charged to the first emitted token) and each
-        later token reuses cached keys/values.  Every pass, full or
-        incremental, bumps ``forward_count`` by one.
+        Decoding is incremental: the prompt is processed by one pass (whose
+        time is charged to the first emitted token) and each later token by
+        a one-token pass over the cached keys/values.  Every pass bumps
+        ``forward_count`` by one.
         """
         steps = list(self.decode(prompt, hooks, max_new, eos_token))
         return GenerationResult([tok for tok, _ in steps], [ms for _, ms in steps])
@@ -359,23 +336,17 @@ class Backbone:
         max_new: int,
         eos_token: int | None,
     ) -> Iterator[tuple[int, float]]:
-        if max_new == 0:
-            return
         cache = _KVCache(self.config)
-        start = time.perf_counter()
-        self.forward_count += 1
-        _, last_logits = self._forward_full(ids, grouped, cache)
-        tok = int(np.argmax(last_logits))
-        yield tok, (time.perf_counter() - start) * 1e3
-        position = ids.size
-        for _ in range(max_new - 1):
+        start = 0
+        for _ in range(max_new):
+            t0 = time.perf_counter()
+            self.forward_count += 1
+            tok = int(np.argmax(self._run(ids, start, grouped, cache).logits[-1]))
+            yield tok, (time.perf_counter() - t0) * 1e3
             if tok == eos_token:
                 return
-            start = time.perf_counter()
-            last_logits = self._extend(tok, position, grouped, cache)
-            tok = int(np.argmax(last_logits))
-            yield tok, (time.perf_counter() - start) * 1e3
-            position += 1
+            start += ids.size
+            ids = np.array([tok])
 
     # -- serialization ----------------------------------------------------------
 

@@ -129,8 +129,8 @@ def _signal_config(args: argparse.Namespace) -> SignalConfig:
     )
 
 
-def _engine_config(args: argparse.Namespace, merge_mode: str = "mixture") -> EngineConfig:
-    return _usage_checked(EngineConfig, signal=_signal_config(args), k=args.k, merge_mode=merge_mode)
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    return _usage_checked(EngineConfig, signal=_signal_config(args), k=args.k)
 
 
 def _load_pool(model_path: str, manifest_path: str) -> tuple[Backbone, AdapterPool]:
@@ -252,7 +252,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tokens = _parse_tokens(args.input)
     if args.max_new < 0:
         raise UsageError(f"--max-new must be >= 0, got {args.max_new}")
-    config = _engine_config(args, merge_mode=args.merge)
+    config = _engine_config(args)
     backbone, pool = _load_pool(args.model, args.pool)
     result = route_and_generate(
         backbone, pool, tokens, config, max_new=args.max_new, eos_token=args.eos
@@ -438,9 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="token ids, or @file")
     _add_signal_flags(p)
     p.add_argument("--max-new", type=int, default=16, help="tokens to generate")
-    p.add_argument(
-        "--merge", default="mixture", choices=("mixture", "fusion"), help="merge construction"
-    )
     p.add_argument("--eos", type=int, default=None, help="stop token id")
     p.add_argument("--timings", action="store_true", help="also print the full result record")
     p.set_defaults(func=cmd_generate)

@@ -7,11 +7,13 @@ scratch under the merged adapter configuration, so generation sees exactly
 the model it would have seen had the merged adapters been attached from the
 start.
 
+The merge is always :func:`~loraroute.routing.mixture_hooks`, the selected
+adapters at ``w_i * alpha_i``; by linearity a fusion is the same map, so
+there is no merge construction to choose.
+
 Timings are split into ``probe_ms`` (the instrumented pass), ``select_merge_ms``
-(ranking plus hook/fusion construction), and ``per_token_ms`` (greedy decoding,
-first entry covering the prefill).  For amortization analysis the fixed
-routing overhead is charged to the first emitted token —
-:func:`amortized_per_token_ms` applies that convention.
+(ranking plus building the merged hooks), and ``per_token_ms`` (greedy
+decoding, first entry covering the prefill).
 """
 from __future__ import annotations
 
@@ -23,15 +25,7 @@ from typing import Sequence
 from .adapters import AdapterPool
 from .backbone import Backbone, ProjectionHook
 from .errors import ValidationError
-from .routing import (
-    MERGE_MODES,
-    RoutingDecision,
-    decision_to_json,
-    fuse_parameters,
-    fused_hooks,
-    mixture_hooks,
-    select_topk,
-)
+from .routing import RoutingDecision, decision_to_json, mixture_hooks, select_topk
 from .signals import SignalConfig, probe
 
 #: Default number of adapters kept by selection.
@@ -40,19 +34,14 @@ DEFAULT_K = 20
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Routing knobs for one request: signal source, k, and merge mode."""
+    """Routing knobs for one request: signal source and k."""
 
     signal: SignalConfig = field(default_factory=SignalConfig)
     k: int = DEFAULT_K
-    merge_mode: str = "mixture"
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
             raise ValidationError(f"k must be a positive integer, got {self.k!r}")
-        if self.merge_mode not in MERGE_MODES:
-            raise ValidationError(
-                f"merge_mode must be one of {MERGE_MODES}, got {self.merge_mode!r}"
-            )
 
 
 @dataclass
@@ -89,10 +78,7 @@ def route_and_merge(
 
     t0 = time.perf_counter()
     decision = select_topk(report, config.k)
-    if config.merge_mode == "mixture":
-        hooks = mixture_hooks(pool, decision)
-    else:
-        hooks = fused_hooks(fuse_parameters(pool, decision))
+    hooks = mixture_hooks(pool, decision)
     select_merge_ms = (time.perf_counter() - t0) * 1e3
     return decision, hooks, {"probe_ms": probe_ms, "select_merge_ms": select_merge_ms}
 
@@ -120,14 +106,6 @@ def route_and_generate(
         timings={**timings, "per_token_ms": generated.per_token_ms},
         forward_pass_count=backbone.forward_count - start_count,
     )
-
-
-def amortized_per_token_ms(result: RouteResult) -> list[float]:
-    """Per-token timings with the fixed routing overhead charged to token one."""
-    per_token = list(result.timings["per_token_ms"])
-    if per_token:
-        per_token[0] += result.timings["probe_ms"] + result.timings["select_merge_ms"]
-    return per_token
 
 
 def route_result_to_json(result: RouteResult) -> str:

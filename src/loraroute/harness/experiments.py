@@ -19,6 +19,7 @@ same inputs produce byte-identical serialized reports.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -275,15 +276,12 @@ def alignment_analysis(
 
 
 def _config_with(base: EngineConfig, axis: str, value: object) -> EngineConfig:
-    sig = base.signal
     if axis == "token_policy":
-        sig = SignalConfig(sig.target_block, str(value), sig.scoring)
-        return EngineConfig(sig, base.k, base.merge_mode)
+        return replace(base, signal=replace(base.signal, token_policy=str(value)))
     if axis == "k":
-        return EngineConfig(sig, int(value), base.merge_mode)
+        return replace(base, k=int(value))
     if axis == "target_block":
-        sig = SignalConfig(int(value), sig.token_policy, sig.scoring)
-        return EngineConfig(sig, base.k, base.merge_mode)
+        return replace(base, signal=replace(base.signal, target_block=int(value)))
     raise ValidationError(f"axis must be one of {ABLATE_AXES}, got {axis!r}")
 
 
@@ -399,7 +397,7 @@ def timing_sweep(
             routed = backbone.decode(prompt, hooks, max_new=length)
             base = backbone.decode(prompt, (), max_new=length)
             ms = np.array([(r, b) for (_, r), (_, b) in zip(routed, base)])
-            # The routing overhead is charged to the first token, as in amortized_per_token_ms.
+            # The routing overhead is charged to the first token.
             overhead = timings["probe_ms"] + timings["select_merge_ms"]
             routed_runs.append(float((ms[:, 0].sum() + overhead) / len(ms)))
             base_runs.append(float(ms[:, 1].mean()))

@@ -5,20 +5,18 @@ Selection is plain top-k over scores with deterministic tie-breaking
 ``w_i = s_i / sum(s)``; an all-zero score vector falls back to uniform
 weights rather than dividing by zero.
 
-Two equivalent merge constructions are provided:
-
-* ``mixture`` — keep the selected adapters and rescale each one's effective
-  alpha to ``w_i * alpha_i``; unselected adapters are simply dropped.
-* ``fusion`` — materialize the dense update
-  ``sum_i w_i * alpha_i * A_i @ B_i`` per (block, site).
-
-By linearity both are the same map, so both are built the same way, once
-per request: one product of the selected adapters' stacked factors
-(:func:`stack_factors`) per site, applied as that dense matrix.  Applying
-the stacked factors low-rank instead only pays off for wide models; at the
-widths of this package's models (``d_model`` 32 and 64) one dense product
-per token is cheaper than two thin ones.  Tests pin both modes to the
-per-adapter reference :func:`delta_apply`.
+The merge keeps the selected adapters and rescales each one's effective
+alpha to ``w_i * alpha_i``; unselected adapters are dropped.  By linearity
+that is the dense update ``sum_i w_i * alpha_i * A_i @ B_i`` per (block,
+site), so there is one merge and one way to build it, once per request:
+:func:`fuse_parameters` takes one product of the selected adapters' stacked
+factors (:func:`stack_factors`) per site, :func:`fused_hooks` applies each
+as a dense matrix, and :func:`mixture_hooks` (what the engine calls) is the
+two composed.  Applying the stacked factors low-rank instead only pays off
+for wide models; at the widths of this package's models (``d_model`` 32 and
+64) one dense product per token is cheaper than two thin ones.  Tests pin
+the merged operator to the sum of the adapters' own :func:`delta_apply`
+deltas, and decoding under it to a per-adapter reference.
 """
 from __future__ import annotations
 
@@ -34,8 +32,6 @@ from .errors import StaleDecisionError, ValidationError
 from .signals import SignalReport
 
 Array = np.ndarray
-
-MERGE_MODES = ("mixture", "fusion")
 
 
 @dataclass(frozen=True)

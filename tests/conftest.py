@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from loraroute import AdapterPool, LoraAdapter, LoraFactors, ModelConfig, init_backbone
+from loraroute import (
+    AdapterPool,
+    LoraAdapter,
+    LoraFactors,
+    ModelConfig,
+    ProjectionHook,
+    delta_apply,
+    init_backbone,
+)
 
 
 @pytest.fixture
@@ -45,6 +53,25 @@ def make_mixed_pool(config):
     for rank, alpha in ((1, 0.7), (3, 1.9), (8, 3.25)):
         pool.add(make_adapter(config, f"r{rank}", seed=rank, rank=rank, alpha=alpha))
     return pool
+
+
+def per_adapter_reference_decode(backbone, pool, decision, prompt, max_new):
+    """Greedy full recompute under one hook per (block, site) that sums each
+    selected adapter's own ``delta_apply`` at ``w_i * alpha_i``: the slow
+    reference a merged operator must decode like."""
+    by_id = {a.id: a for a in pool.snapshot()[1]}
+    scaled = [(by_id[i], w * by_id[i].alpha) for i, w in decision.weights().items()]
+
+    def fn(block, site, h, base):
+        return sum(delta_apply(a, block, site, h, alpha_override=s) for a, s in scaled)
+
+    hooks = [
+        ProjectionHook(j, site, fn) for j in range(backbone.config.n_blocks) for site in ("Q", "V")
+    ]
+    seq = list(prompt)
+    for _ in range(max_new):
+        seq.append(int(np.argmax(backbone.forward(seq, hooks).logits[-1])))
+    return seq[len(prompt):]
 
 
 def byte_mutations(blob, seed, count):

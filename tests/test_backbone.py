@@ -5,6 +5,7 @@ import pytest
 
 from loraroute import (
     ContextOverflowError,
+    EngineConfig,
     FormatError,
     ModelConfig,
     ProjectionHook,
@@ -14,11 +15,13 @@ from loraroute import (
     backbone_from_bytes,
     init_backbone,
     load_backbone,
+    mixture_hooks,
+    route_only,
     save_backbone,
 )
 from loraroute.backbone import BACKBONE_MAGIC
 
-from conftest import byte_mutations
+from conftest import byte_mutations, make_mixed_pool
 
 
 class TestModelConfig:
@@ -61,9 +64,6 @@ class TestInit:
 class TestForward:
     def test_trace_shapes(self, tiny_backbone, tiny_config):
         trace = tiny_backbone.forward([1, 2, 3, 4])
-        assert len(trace.block_inputs) == tiny_config.n_blocks
-        for blk in trace.block_inputs:
-            assert blk.shape == (4, tiny_config.d_model)
         assert trace.final_hidden.shape == (4, tiny_config.d_model)
         assert trace.logits.shape == (4, tiny_config.vocab_size)
 
@@ -233,6 +233,45 @@ class TestGenerate:
         plain = tiny_backbone.generate([1, 2, 3], max_new=6).tokens
         hooked = tiny_backbone.generate([1, 2, 3], [hook], max_new=6).tokens
         assert plain != hooked  # a constant V shift this large must change greedy output
+
+
+class TestDecodeMatchesFullPass:
+    """Prefill and every decoded step are the block loop over a run of
+    positions; each must compute what a full pass over the sequence so far
+    computes, read at the last block's Q input."""
+
+    @staticmethod
+    def spy(config, captured):
+        def fn(block, site, h, base):
+            captured.append(h.copy())
+            return np.zeros_like(base)
+
+        return ProjectionHook(config.n_blocks - 1, "Q", fn)
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["bare", "mixture"])
+    @pytest.mark.parametrize(
+        "prompt_len,max_new",
+        # a 1-token prefill runs unmasked; 40 + 8 ends exactly at max_seq_len
+        [(1, 8), (5, 8), (40, 8)],
+    )
+    def test_each_step_matches_forward(self, tiny_backbone, tiny_config, merged, prompt_len, max_new):
+        prompt = list(np.random.default_rng(prompt_len).integers(0, 64, size=prompt_len))
+        hooks = []
+        if merged:
+            pool = make_mixed_pool(tiny_config)
+            hooks = mixture_hooks(pool, route_only(tiny_backbone, pool, prompt, EngineConfig(k=3)))
+        captured = []
+        spied = hooks + [self.spy(tiny_config, captured)]
+        tokens = tiny_backbone.generate(prompt, spied, max_new=max_new).tokens
+        assert len(captured) == max_new
+        assert captured[0].shape == (prompt_len, tiny_config.d_model)
+        assert all(c.shape == (1, tiny_config.d_model) for c in captured[1:])
+        for i, step in enumerate(captured):
+            full = []
+            trace = tiny_backbone.forward(prompt + tokens[:i], hooks + [self.spy(tiny_config, full)])
+            want = full[0] if i == 0 else full[0][-1:]
+            np.testing.assert_allclose(step, want, rtol=0, atol=1e-12)
+            assert tokens[i] == int(np.argmax(trace.logits[-1]))
 
 
 class TestSerialization:

@@ -10,7 +10,8 @@ from loraroute import (
     StaleDecisionError,
     ValidationError,
     adapter_hooks,
-    amortized_per_token_ms,
+    fuse_parameters,
+    fused_hooks,
     mixture_hooks,
     route_and_generate,
     route_only,
@@ -24,16 +25,11 @@ class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
         assert config.k == 20
-        assert config.merge_mode == "mixture"
         assert config.signal == SignalConfig()
 
     def test_invalid_k(self):
         with pytest.raises(ValidationError):
             EngineConfig(k=0)
-
-    def test_invalid_merge_mode(self):
-        with pytest.raises(ValidationError):
-            EngineConfig(merge_mode="average")
 
 
 class TestForwardAccounting:
@@ -52,15 +48,6 @@ class TestForwardAccounting:
         assert set(result.timings) == {"probe_ms", "select_merge_ms", "per_token_ms"}
         assert result.timings["probe_ms"] >= 0.0
 
-    def test_amortized_charges_overhead_to_first_token(self, tiny_backbone, small_pool):
-        result = route_and_generate(tiny_backbone, small_pool, [1, 2], EngineConfig(k=2), max_new=4)
-        amortized = amortized_per_token_ms(result)
-        raw = result.timings["per_token_ms"]
-        overhead = result.timings["probe_ms"] + result.timings["select_merge_ms"]
-        assert amortized[0] == pytest.approx(raw[0] + overhead, rel=1e-12)
-        assert amortized[1:] == raw[1:]
-        assert sum(amortized) == pytest.approx(sum(raw) + overhead, rel=1e-9)
-
 
 class TestMergeEquivalence:
     def test_mixture_and_fusion_emit_identical_tokens(self, tiny_backbone, tiny_config):
@@ -68,12 +55,9 @@ class TestMergeEquivalence:
         pool = make_pool(tiny_config, 6, alpha=1.2)
         for trial in range(5):
             prompt = list(rng.integers(0, tiny_config.vocab_size, size=5))
-            mix = route_and_generate(tiny_backbone, pool, prompt, EngineConfig(k=3), max_new=8)
-            fus = route_and_generate(
-                tiny_backbone, pool, prompt, EngineConfig(k=3, merge_mode="fusion"), max_new=8
-            )
-            assert mix.output_tokens == fus.output_tokens
-            assert mix.decision == fus.decision
+            result = route_and_generate(tiny_backbone, pool, prompt, EngineConfig(k=3), max_new=8)
+            fused = fused_hooks(fuse_parameters(pool, result.decision))
+            assert result.output_tokens == tiny_backbone.generate(prompt, fused, max_new=8).tokens
 
 
 class TestConvexityEdges:

@@ -53,10 +53,8 @@ from .errors import (
 )
 from .numcore import as_vector, l2_norm, shannon_entropy, softmax
 from .routing import (
-    FusedDelta,
     RoutingDecision,
     SelectedAdapter,
-    decision_from_json,
     decision_to_json,
     fuse_parameters,
     fused_hooks,

@@ -3,7 +3,9 @@
 An adapter stores factor pairs ``(A, B)`` for the Q and V projection of every
 block, with a shared scalar ``alpha``; its effective weight update for one
 projection is ``alpha * A @ B`` (``A`` is ``d_model x rank``, ``B`` is
-``rank x d_model``).
+``rank x d_model``).  An adapter is exactly its id, ``alpha`` and factors,
+which is also all the ``LGAD`` file format holds; which task it serves is
+recorded by the harness's tasks file, not here.
 
 Inference attaches several adapters at once through one representation:
 :func:`stack_factors` concatenates their factors at one (block, site) along
@@ -59,14 +61,12 @@ class LoraAdapter:
     """Immutable low-rank adapter covering every (block, site) of a model.
 
     ``factors`` maps ``(block_index, site)`` — site one of ``"Q"``/``"V"`` —
-    to a :class:`LoraFactors` pair.  ``metadata`` is a free-form task label
-    used by the experiment harness; it is not part of the serialized format.
+    to a :class:`LoraFactors` pair.
     """
 
     id: str
     alpha: float
     factors: Mapping[tuple[int, str], LoraFactors]
-    metadata: str = ""
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id or any(c.isspace() for c in self.id):
@@ -261,11 +261,7 @@ def adapter_hooks(adapters: Sequence[LoraAdapter]) -> list[ProjectionHook]:
 
 
 def adapter_to_bytes(adapter: LoraAdapter) -> bytes:
-    """Serialize to the ``LGAD`` binary format (bitwise round-trip).
-
-    The task-label metadata is deliberately not part of the format; labels
-    travel in task manifests instead.
-    """
+    """Serialize to the ``LGAD`` binary format (bitwise round-trip)."""
     ident = adapter.id.encode("utf-8")
     if len(ident) > 0xFFFF:
         raise ValidationError("adapter id too long to serialize")
@@ -287,7 +283,7 @@ def adapter_to_bytes(adapter: LoraAdapter) -> bytes:
     return b"".join(parts)
 
 
-def adapter_from_bytes(data: bytes, metadata: str = "") -> LoraAdapter:
+def adapter_from_bytes(data: bytes) -> LoraAdapter:
     """Parse the ``LGAD`` binary format; raises :class:`FormatError` on damage."""
     if len(data) < 4 or data[:4] != ADAPTER_MAGIC:
         raise FormatError(f"bad magic: expected {ADAPTER_MAGIC!r}")
@@ -337,7 +333,7 @@ def adapter_from_bytes(data: bytes, metadata: str = "") -> LoraAdapter:
     if offset != len(data):
         raise FormatError(f"trailing data: {len(data) - offset} unexpected bytes")
     try:
-        return LoraAdapter(id=ident, alpha=alpha, factors=factors, metadata=metadata)
+        return LoraAdapter(id=ident, alpha=alpha, factors=factors)
     except ValidationError as exc:
         raise FormatError(f"invalid adapter: {exc}") from exc
 
@@ -348,10 +344,10 @@ def save_adapter(adapter: LoraAdapter, path: str) -> None:
         fh.write(adapter_to_bytes(adapter))
 
 
-def load_adapter(path: str, metadata: str = "") -> LoraAdapter:
+def load_adapter(path: str) -> LoraAdapter:
     """Read an adapter written by :func:`save_adapter`."""
     with open(path, "rb") as fh:
-        return adapter_from_bytes(fh.read(), metadata=metadata)
+        return adapter_from_bytes(fh.read())
 
 
 def load_manifest(path: str, config: ModelConfig) -> AdapterPool:

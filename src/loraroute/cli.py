@@ -4,10 +4,13 @@ Five subcommands mirror the library's lifecycle:
 
 * ``init-model`` — create and save a random frozen backbone.
 * ``train-adapters`` — make synthetic tasks, train one adapter per task,
-  write the adapter files plus a pool manifest and a tasks file.
+  write the adapter files plus a pool manifest and a tasks file (the tasks,
+  and which task each adapter was trained for).
 * ``route`` — probe a prompt against a pool and print the selection.
 * ``generate`` — full pipeline: probe, select, merge, greedy decode.
-* ``experiment`` — run one of the harness analyses and write its report.
+* ``experiment`` — run one of the harness analyses over a pool and a tasks
+  file and write its report; without ``--samples`` each analysis uses its
+  own default sample count.
 
 Contract: exit 0 on success, 1 on usage errors (bad flags or flag values),
 2 on runtime errors (missing/corrupt files, overflow, training divergence).
@@ -137,22 +140,6 @@ def _load_pool(model_path: str, manifest_path: str) -> tuple[Backbone, AdapterPo
     backbone = load_backbone(model_path)
     pool = load_manifest(manifest_path, backbone.config)
     return backbone, pool
-
-
-def _relabel_pool(pool: AdapterPool, labels: dict[str, str]) -> AdapterPool:
-    """Attach task labels to a pool loaded from disk.
-
-    The adapter wire format carries no metadata; task labels travel in the
-    tasks file, so pools built from a manifest get their labels stitched back
-    on here (adapters without a label entry are kept as loaded).
-    """
-    relabeled = AdapterPool(pool.config)
-    for adapter in pool.snapshot()[1]:
-        label = labels.get(adapter.id)
-        if label is not None and label != adapter.metadata:
-            adapter = dataclasses.replace(adapter, metadata=label)
-        relabeled.add(adapter)
-    return relabeled
 
 
 def _add_signal_flags(p: argparse.ArgumentParser, k_default: int = 3) -> None:
@@ -328,31 +315,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     tasks, labels = load_tasks(args.tasks_file)
     if not tasks:
         raise UsageError(f"tasks file {args.tasks_file} holds no tasks")
-    pool = _relabel_pool(pool, labels)
     by_id = {t.task_id: t for t in tasks}
     if args.task is not None and args.task not in by_id:
         raise UsageError(f"--task {args.task!r} not in tasks file (have {sorted(by_id)})")
     one_task = by_id[args.task] if args.task is not None else tasks[0]
+    sampling = {"prompt_len": args.prompt_len, "seed": args.seed}
+    if args.samples is not None:
+        sampling["n_samples"] = args.samples
 
     kind = args.kind
     if kind == "heatmap":
-        samples = args.samples if args.samples is not None else 50
-        report = signal_heatmap(
-            backbone, pool, tasks, config.signal,
-            n_samples=samples, prompt_len=args.prompt_len, seed=args.seed,
-        )
+        report = signal_heatmap(backbone, pool, tasks, config.signal, **sampling)
     elif kind == "counts":
-        samples = args.samples if args.samples is not None else 100
-        report = selection_counts(
-            backbone, pool, one_task, config,
-            n_samples=samples, prompt_len=args.prompt_len, seed=args.seed,
-        )
+        report = selection_counts(backbone, pool, one_task, config, **sampling)
     elif kind == "alignment":
-        samples = args.samples if args.samples is not None else 100
-        report = alignment_analysis(
-            backbone, pool, tasks, config,
-            n_samples=samples, prompt_len=args.prompt_len, seed=args.seed,
-        )
+        report = alignment_analysis(backbone, pool, tasks, labels, config, **sampling)
         report = dataclasses.replace(
             report, metadata={**report.metadata, "thresholds": load_thresholds()}
         )
@@ -363,11 +340,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             values: list[object] = [v for v in args.values.split(",") if v]
         else:
             values = list(_int_list(args.values, "--values"))
-        samples = args.samples if args.samples is not None else 25
         report = _usage_checked(
-            ablate,
-            backbone, pool, tasks, args.axis, values, config,
-            n_samples=samples, prompt_len=args.prompt_len, seed=args.seed,
+            ablate, backbone, pool, tasks, args.axis, values, config, **sampling
         )
     else:  # timing
         lengths = _int_list(args.lengths, "--lengths")

@@ -11,6 +11,11 @@ The merge is always :func:`~loraroute.routing.mixture_hooks`, the selected
 adapters at ``w_i * alpha_i``; by linearity a fusion is the same map, so
 there is no merge construction to choose.
 
+The probe and the merge each take their own snapshot of the pool, and the
+decision is pinned to the probe's revision: if the pool is edited between
+the two, the merge raises :class:`~loraroute.errors.StaleDecisionError` and
+the request fails rather than merging adapters it did not score.
+
 Timings are split into ``probe_ms`` (the instrumented pass), ``select_merge_ms``
 (ranking plus building the merged hooks), and ``per_token_ms`` (greedy
 decoding, first entry covering the prefill).

@@ -16,8 +16,6 @@ from .reports import (
     REPORT_KINDS,
     ExperimentReport,
     minmax_normalize_columns,
-    report_from_csv,
-    report_from_json,
     save_report,
 )
 from .tasks import (
@@ -27,7 +25,6 @@ from .tasks import (
     load_tasks,
     make_tasks,
     save_tasks,
-    task_accuracy,
     task_loss,
 )
 from .thresholds import THRESHOLDS_ENV_VAR, default_thresholds_text, load_thresholds

@@ -8,7 +8,8 @@ Five analyses, each returning an :class:`~loraroute.harness.reports.ExperimentRe
   the rank it was picked at.
 * :func:`alignment_analysis` — do bigger merge weights go to adapters whose
   training task looks like the input?  Weight-bucketed cosine similarities
-  between input and task embeddings.
+  between input and task embeddings; which task each adapter was trained
+  for comes in as an adapter-id -> task-id map, the one the tasks file holds.
 * :func:`ablate` — task accuracy swept along one routing knob (token policy,
   k, or target block), everything else held fixed.
 * :func:`timing_sweep` — amortized per-token latency of routed generation
@@ -20,7 +21,7 @@ same inputs produce byte-identical serialized reports.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
@@ -56,14 +57,13 @@ def signal_heatmap(
     n_samples: int = 50,
     prompt_len: int = DEFAULT_PROMPT_LEN,
     seed: int = 0,
-    normalize: bool = True,
 ) -> ExperimentReport:
     """Mean probe score per (task row, adapter column), column-normalized.
 
     Each cell averages the adapter's score over ``n_samples`` prompts drawn
     from the row's task; columns are then min-max normalized to [0, 1] so
     every adapter's response profile is comparable regardless of its overall
-    magnitude (``normalize=False`` returns the raw means).
+    magnitude.
     """
     tasks = _require_tasks(tasks, 2)
     if len(pool) < 2:
@@ -80,8 +80,7 @@ def signal_heatmap(
             scores = probe(backbone, pool, prompt, cfg).scores()
             grid[ti] += [scores[aid] for aid in adapter_ids]
     grid /= n_samples
-    if normalize:
-        grid = minmax_normalize_columns(grid)
+    grid = minmax_normalize_columns(grid)
 
     return ExperimentReport(
         kind="heatmap",
@@ -97,7 +96,6 @@ def signal_heatmap(
             "n_samples": n_samples,
             "prompt_len": prompt_len,
             "seed": seed,
-            "normalized": bool(normalize),
         },
     )
 
@@ -170,6 +168,7 @@ def alignment_analysis(
     backbone: Backbone,
     pool: AdapterPool,
     tasks: Sequence[SyntheticTask],
+    labels: Mapping[str, str],
     cfg: EngineConfig = EngineConfig(),
     n_samples: int = 100,
     prompt_len: int = DEFAULT_PROMPT_LEN,
@@ -181,8 +180,8 @@ def alignment_analysis(
     Inputs are drawn round-robin from ``tasks``.  For every (input, selected
     adapter) pair the pair's weight is recorded alongside the mean cosine
     similarity between the input's embedding and embeddings of reference
-    samples from the adapter's own task (adapters are matched to tasks by
-    their metadata label; unlabeled ones are skipped and counted).  Pairs are
+    samples from the adapter's own task, ``labels[adapter_id]`` (adapters
+    with no label naming one of ``tasks`` are skipped and counted).  Pairs are
     bucketed by weight (width ``WEIGHT_BUCKET_WIDTH``) and each non-empty
     bucket reports its similarity distribution: count, min, quartiles, max.
 
@@ -202,7 +201,7 @@ def alignment_analysis(
     reference: dict[str, list[Array]] = {}
     skipped_unlabeled = 0
     for adapter in adapters:
-        task = by_label.get(adapter.metadata)
+        task = by_label.get(labels.get(adapter.id))
         if task is None:
             skipped_unlabeled += 1
             continue
@@ -213,7 +212,7 @@ def alignment_analysis(
                 for _ in range(n_reference)
             ]
 
-    labeled = {a.id: a.metadata for a in adapters if a.metadata in reference}
+    labeled = {a.id: labels[a.id] for a in adapters if labels.get(a.id) in reference}
     pairs: list[tuple[float, float]] = []
     rng = np.random.default_rng([seed, 0])
     for i in range(n_samples):

@@ -5,7 +5,8 @@ kinds (heatmap, selection counts, ablation) hold a dense labeled matrix and
 serialize to CSV whose first row names the axes, so any external plotter can
 render them without knowing this package.  Record kinds (timing, alignment)
 hold a list of flat dicts and serialize to JSON with an explicit ``axes``
-list carrying the field names.
+list carrying the field names.  The package only writes reports; a reader
+parses them with any CSV or JSON library.
 
 Reports are value objects: building one twice from the same inputs yields
 byte-identical serializations (timing kinds excepted — wall-clock values are
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -123,59 +124,6 @@ class ExperimentReport:
             )
         body["metadata"] = dict(self.metadata)
         return json.dumps(body, sort_keys=False)
-
-
-def report_from_csv(text: str, kind: str, metadata: Mapping[str, object] | None = None) -> ExperimentReport:
-    """Parse :meth:`ExperimentReport.to_csv` output back into a report."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValidationError("empty report CSV")
-    header = lines[0].split(",")
-    if "/" not in header[0]:
-        raise ValidationError(f"first CSV cell must name both axes, got {header[0]!r}")
-    row_axis, col_axis = header[0].split("/", 1)
-    col_labels = tuple(header[1:])
-    row_labels = []
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(col_labels) + 1:
-            raise ValidationError(f"CSV row has {len(cells)} cells, expected {len(col_labels) + 1}")
-        row_labels.append(cells[0])
-        rows.append([float(x) for x in cells[1:]])
-    return ExperimentReport(
-        kind=kind,
-        row_axis=row_axis,
-        col_axis=col_axis,
-        row_labels=tuple(row_labels),
-        col_labels=col_labels,
-        grid=np.asarray(rows, dtype=np.float64),
-        metadata=dict(metadata or {}),
-    )
-
-
-def report_from_json(text: str) -> ExperimentReport:
-    """Parse :meth:`ExperimentReport.to_json` output back into a report."""
-    try:
-        body = json.loads(text)
-        kind = body["kind"]
-        if kind in GRID_KINDS:
-            return ExperimentReport(
-                kind=kind,
-                row_axis=str(body["row_axis"]),
-                col_axis=str(body["col_axis"]),
-                row_labels=tuple(str(x) for x in body["row_labels"]),
-                col_labels=tuple(str(x) for x in body["col_labels"]),
-                grid=np.asarray(body["grid"], dtype=np.float64),
-                metadata=dict(body.get("metadata", {})),
-            )
-        return ExperimentReport(
-            kind=kind,
-            records=tuple(dict(r) for r in body["records"]),
-            metadata=dict(body.get("metadata", {})),
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed report record: {exc}") from exc
 
 
 def save_report(report: ExperimentReport, path: str) -> None:

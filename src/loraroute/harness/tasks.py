@@ -136,24 +136,6 @@ def make_tasks(
 # -- evaluation helpers --------------------------------------------------------
 
 
-def task_accuracy(
-    backbone: Backbone,
-    task: SyntheticTask,
-    hooks: Sequence[ProjectionHook] = (),
-    n_samples: int = 50,
-    prompt_len: int = DEFAULT_PROMPT_LEN,
-    seed: int = 0,
-) -> float:
-    """Exact-match accuracy of one-token greedy continuation under ``hooks``."""
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_samples):
-        prompt = task.sample_prompt(rng, prompt_len)
-        out = backbone.generate(prompt, hooks, max_new=1)
-        hits += int(out.tokens[0] == task.target_next(prompt))
-    return hits / n_samples
-
-
 def task_loss(
     backbone: Backbone,
     task: SyntheticTask,

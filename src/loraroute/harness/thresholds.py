@@ -44,8 +44,9 @@ def load_thresholds(path: str | None = None) -> dict[str, float]:
     """Load thresholds from ``path``, ``$LOGO_THRESHOLDS``, or the committed file.
 
     Precedence: explicit argument, then the environment variable, then the
-    file shipped inside the package.  Missing keys or non-numeric values are
-    a :class:`~loraroute.errors.ValidationError`.
+    file shipped inside the package.  The result holds exactly
+    :data:`REQUIRED_KEYS`; other keys in the file are ignored.  Missing keys
+    or non-numeric values are a :class:`~loraroute.errors.ValidationError`.
     """
     source = path or os.environ.get(THRESHOLDS_ENV_VAR)
     if source:
@@ -67,7 +68,4 @@ def load_thresholds(path: str | None = None) -> dict[str, float]:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValidationError(f"threshold {key!r} must be a number, got {value!r}")
         out[key] = float(value)
-    for key, value in record.items():
-        if key not in out and isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[key] = float(value)
     return out

@@ -11,17 +11,27 @@ position, which is exactly the synthetic tasks' evaluation rule.
 The duplicated forward math is pinned to the backbone by tests (trainer
 logits must equal ``backbone.forward`` with the adapter attached) and the
 gradients are checked against central finite differences.
+
+The recipe's fixed settings are module constants: :data:`BATCH_SIZE` prompts
+per step of ``DEFAULT_PROMPT_LEN`` tokens before jitter, the adapter scale
+:data:`ALPHA`, the SGD momentum :data:`MOMENTUM`, and :data:`QUIET_SAMPLES`
+random prompts for the quiet penalty.  The adapter id is ``{task_id}-r{rank}``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..adapters import LoraAdapter, LoraFactors
-from ..backbone import HOOK_SITES, Backbone, _gelu, _LN_EPS
+from ..backbone import HOOK_SITES, Backbone, _gelu, _LN_EPS, _softmax_last
 from ..errors import TrainingDivergedError, ValidationError
 from .tasks import DEFAULT_PROMPT_LEN, SyntheticTask
 
 Array = np.ndarray
+
+BATCH_SIZE = 16
+ALPHA = 1.0
+MOMENTUM = 0.9
+QUIET_SAMPLES = 32
 
 
 def train_toy_adapter(
@@ -32,15 +42,9 @@ def train_toy_adapter(
     lr: float = 0.5,
     seed: int = 0,
     *,
-    batch_size: int = 16,
-    prompt_len: int = DEFAULT_PROMPT_LEN,
-    alpha: float = 1.0,
-    momentum: float = 0.9,
     weight_decay: float = 0.0,
     length_jitter: int = 0,
     quiet_weight: float = 0.0,
-    quiet_samples: int = 32,
-    adapter_id: str | None = None,
 ) -> LoraAdapter:
     """Fit one adapter to one task by SGD (with classical momentum).
 
@@ -72,8 +76,6 @@ def train_toy_adapter(
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if rank < 1:
         raise ValidationError(f"rank must be >= 1, got {rank}")
-    if batch_size < 1 or prompt_len < 1:
-        raise ValidationError("batch_size and prompt_len must be >= 1")
 
     cfg = backbone.config
     rng = np.random.default_rng(seed)
@@ -89,24 +91,24 @@ def train_toy_adapter(
 
     grams = None
     if quiet_weight > 0.0:
-        neg_len = min(prompt_len + length_jitter, cfg.max_seq_len)
-        neg = rng.integers(0, cfg.vocab_size, size=(quiet_samples, neg_len))
+        neg_len = min(DEFAULT_PROMPT_LEN + length_jitter, cfg.max_seq_len)
+        neg = rng.integers(0, cfg.vocab_size, size=(QUIET_SAMPLES, neg_len))
         grams = negative_grams(backbone, neg)
 
     for step in range(steps):
         # Optional per-step prompt length jitter keeps the supervised position
         # moving, so the factors learn token-content reads rather than
         # memorizing one absolute position.
-        step_len = prompt_len
+        step_len = DEFAULT_PROMPT_LEN
         if length_jitter > 0:
-            lo = max(2, prompt_len - length_jitter)
-            step_len = int(rng.integers(lo, prompt_len + length_jitter + 1))
-        prompts = [task.sample_prompt(rng, step_len) for _ in range(batch_size)]
+            lo = max(2, DEFAULT_PROMPT_LEN - length_jitter)
+            step_len = int(rng.integers(lo, DEFAULT_PROMPT_LEN + length_jitter + 1))
+        prompts = [task.sample_prompt(rng, step_len) for _ in range(BATCH_SIZE)]
         ids = np.asarray(prompts, dtype=np.int64)
         targets = np.asarray([task.target_next(p) for p in prompts], dtype=np.int64)
-        loss, grads = loss_and_grads(backbone, params, alpha, ids, targets)
+        loss, grads = loss_and_grads(backbone, params, ALPHA, ids, targets)
         if grams is not None:
-            penalty, pgrads = quiet_penalty_and_grads(params, alpha, grams)
+            penalty, pgrads = quiet_penalty_and_grads(params, ALPHA, grams)
             loss += quiet_weight * penalty
             for key in params:
                 for slot in (0, 1):
@@ -116,18 +118,13 @@ def train_toy_adapter(
         for key in params:
             for slot in (0, 1):
                 update = grads[key][slot] + weight_decay * params[key][slot]
-                velocity[key][slot] = momentum * velocity[key][slot] + update
+                velocity[key][slot] = MOMENTUM * velocity[key][slot] + update
                 params[key][slot] = params[key][slot] - lr * velocity[key][slot]
 
     factors = {
         key: LoraFactors(pair[0].copy(), pair[1].copy()) for key, pair in params.items()
     }
-    return LoraAdapter(
-        id=adapter_id or f"{task.task_id}-r{rank}",
-        alpha=alpha,
-        factors=factors,
-        metadata=task.task_id,
-    )
+    return LoraAdapter(id=f"{task.task_id}-r{rank}", alpha=ALPHA, factors=factors)
 
 
 def negative_grams(backbone: Backbone, neg_ids: Array) -> list[Array]:
@@ -316,11 +313,6 @@ def _ln_bwd(dy: Array, cache: tuple[Array, Array], gamma: Array) -> Array:
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-
-
-def _softmax_last(x: Array) -> Array:
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _gelu_grad(x: Array) -> Array:

@@ -17,6 +17,12 @@ for wide models; at the widths of this package's models (``d_model`` 32 and
 64) one dense product per token is cheaper than two thin ones.  Tests pin
 the merged operator to the sum of the adapters' own :func:`delta_apply`
 deltas, and decoding under it to a per-adapter reference.
+
+A decision is pinned to the pool revision its report was probed at: merging
+it against a pool at any other revision raises :class:`StaleDecisionError`,
+since an add or remove in between may have replaced a selected adapter under
+the same id.  :func:`decision_to_json` writes a decision as one JSON record
+(the CLI's ``route --json``); nothing reads decisions back.
 """
 from __future__ import annotations
 
@@ -57,15 +63,6 @@ class RoutingDecision:
 
     def weights(self) -> dict[str, float]:
         return {s.adapter_id: s.weight for s in self.selected}
-
-
-@dataclass(frozen=True)
-class FusedDelta:
-    """Dense merged update, one ``(d_model, d_model)`` matrix per (block, site)."""
-
-    n_blocks: int
-    d_model: int
-    deltas: Mapping[tuple[int, str], Array]
 
 
 def normalize_weights(scores: Sequence[float]) -> np.ndarray:
@@ -109,7 +106,12 @@ def select_topk(report: SignalReport, k: int) -> RoutingDecision:
 
 
 def _resolve(pool: AdapterPool, decision: RoutingDecision) -> list[LoraAdapter]:
-    _, adapters = pool.snapshot()
+    revision, adapters = pool.snapshot()
+    if revision != decision.pool_revision:
+        raise StaleDecisionError(
+            f"decision made at pool revision {decision.pool_revision}, pool is now at "
+            f"revision {revision}; selected adapters: {decision.ids()}"
+        )
     by_id = {a.id: a for a in adapters}
     missing = [s.adapter_id for s in decision.selected if s.adapter_id not in by_id]
     if missing:
@@ -128,10 +130,13 @@ def mixture_hooks(pool: AdapterPool, decision: RoutingDecision) -> list[Projecti
     return fused_hooks(fuse_parameters(pool, decision))
 
 
-def fuse_parameters(pool: AdapterPool, decision: RoutingDecision) -> FusedDelta:
+def fuse_parameters(
+    pool: AdapterPool, decision: RoutingDecision
+) -> dict[tuple[int, str], Array]:
     """Materialize the dense merged update ``sum_i w_i * alpha_i * A_i @ B_i``.
 
-    An empty selection merges to the bare model: no deltas at all.
+    Returns one ``(d_model, d_model)`` matrix per (block, site).  An empty
+    selection merges to the bare model: no deltas at all.
     """
     adapters = _resolve(pool, decision)
     weights = decision.weights()
@@ -141,13 +146,13 @@ def fuse_parameters(pool: AdapterPool, decision: RoutingDecision) -> FusedDelta:
         for site in HOOK_SITES:
             a, b = stack_factors(adapters, scales, j, site)
             deltas[(j, site)] = a @ b
-    return FusedDelta(n_blocks=pool.config.n_blocks, d_model=pool.config.d_model, deltas=deltas)
+    return deltas
 
 
-def fused_hooks(fused: FusedDelta) -> list[ProjectionHook]:
+def fused_hooks(deltas: Mapping[tuple[int, str], Array]) -> list[ProjectionHook]:
     """Hooks applying a dense fused update: ``delta = h @ W.T`` per site."""
     hooks = []
-    for (block, site), w in sorted(fused.deltas.items()):
+    for (block, site), w in sorted(deltas.items()):
         def fn(block_: int, site_: str, h: Array, base: Array, _w: Array = w) -> Array:
             return h @ _w.T
 
@@ -173,20 +178,3 @@ def decision_to_json(decision: RoutingDecision, extra: Mapping[str, object] | No
         record.update(extra)
     return json.dumps(record)
 
-
-def decision_from_json(text: str) -> RoutingDecision:
-    """Parse a record written by :func:`decision_to_json`."""
-    try:
-        record = json.loads(text)
-        selected = tuple(
-            SelectedAdapter(str(e["id"]), float(e["score"]), float(e["weight"]))
-            for e in record["entries"]
-        )
-        return RoutingDecision(
-            k=int(record["k"]),
-            pool_revision=int(record["pool_revision"]),
-            scoring=str(record["scoring"]),
-            selected=selected,
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"malformed decision record: {exc}") from exc

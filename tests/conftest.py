@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ def tiny_backbone(tiny_config):
     return init_backbone(tiny_config, seed=7)
 
 
-def make_adapter(config, adapter_id, seed=0, rank=4, alpha=1.0, scale=0.1, metadata=""):
+def make_adapter(config, adapter_id, seed=0, rank=4, alpha=1.0, scale=0.1):
     """Random dense-factor adapter covering every (block, site) of `config`."""
     rng = np.random.default_rng(seed)
     factors = {}
@@ -32,7 +35,7 @@ def make_adapter(config, adapter_id, seed=0, rank=4, alpha=1.0, scale=0.1, metad
                 rng.normal(size=(config.d_model, rank)) * scale,
                 rng.normal(size=(rank, config.d_model)) * scale,
             )
-    return LoraAdapter(id=adapter_id, alpha=alpha, factors=factors, metadata=metadata)
+    return LoraAdapter(id=adapter_id, alpha=alpha, factors=factors)
 
 
 def make_pool(config, n, seed=0, rank=4, alpha=1.0):
@@ -72,6 +75,27 @@ def per_adapter_reference_decode(backbone, pool, decision, prompt, max_new):
     for _ in range(max_new):
         seq.append(int(np.argmax(backbone.forward(seq, hooks).logits[-1])))
     return seq[len(prompt):]
+
+
+def read_report(path):
+    """A report file the CLI wrote, read with the standard library.
+
+    JSON reports come back as the parsed object.  CSV grids come back as a
+    dict of ``axes`` (the top-left cell), ``row_labels``, ``col_labels`` and
+    the float ``grid``.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        if fh.read(1) == "{":
+            fh.seek(0)
+            return json.load(fh)
+        fh.seek(0)
+        header, *rows = csv.reader(fh)
+    return {
+        "axes": header[0],
+        "row_labels": [row[0] for row in rows],
+        "col_labels": header[1:],
+        "grid": np.array([[float(cell) for cell in row[1:]] for row in rows]),
+    }
 
 
 def byte_mutations(blob, seed, count):

@@ -64,16 +64,16 @@ def reference():
         in_band_prob=1.0, anchor_prob=0.75,
     )
     pool = AdapterPool(REFERENCE_MODEL)
+    adapter_for = {}
     t0 = time.perf_counter()
     for i, task in enumerate(tasks):
-        pool.add(
-            train_toy_adapter(
-                backbone, task, rank=4, steps=450, lr=0.3, seed=100 + i,
-                weight_decay=0.01, quiet_weight=0.01, length_jitter=1,
-            )
+        adapter = train_toy_adapter(
+            backbone, task, rank=4, steps=450, lr=0.3, seed=100 + i,
+            weight_decay=0.01, quiet_weight=0.01, length_jitter=1,
         )
+        pool.add(adapter)
+        adapter_for[task.task_id] = adapter.id
     train_seconds = time.perf_counter() - t0
-    adapter_for = {a.metadata: a.id for a in pool.snapshot()[1]}
     return SimpleNamespace(
         backbone=backbone, tasks=tasks, pool=pool,
         adapter_for=adapter_for, train_seconds=train_seconds,
@@ -241,7 +241,7 @@ class TestCriterion06SignalHeatmap:
                 reference.backbone, reference.pool, reference.tasks, cfg,
                 n_samples=50, seed=0,
             )
-            by_id = {a.id: a.metadata for a in reference.pool.snapshot()[1]}
+            by_id = {adapter_id: task_id for task_id, adapter_id in reference.adapter_for.items()}
             hits = 0
             for col, adapter_id in enumerate(report.col_labels):
                 expected_row = report.row_labels.index(by_id[adapter_id])
@@ -367,7 +367,7 @@ class TestCriterion10WireFormats:
         save_backbone(load_backbone(str(p1)), str(p2))
         backbone_ok = p1.read_bytes() == p2.read_bytes()
 
-        adapter = make_adapter(config, "rt", seed=1, rank=3, metadata="")
+        adapter = make_adapter(config, "rt", seed=1, rank=3)
         blob = adapter_to_bytes(adapter)
         adapter_ok = adapter_to_bytes(adapter_from_bytes(blob)) == blob
 

@@ -245,9 +245,8 @@ class TestSerialization:
         ad = make_adapter(tiny_config, "disk", seed=3)
         path = tmp_path / "ad.lgad"
         save_adapter(ad, str(path))
-        back = load_adapter(str(path), metadata="restored")
+        back = load_adapter(str(path))
         assert adapter_to_bytes(back) == adapter_to_bytes(ad)
-        assert back.metadata == "restored"
 
     def test_bad_magic(self, tiny_config):
         raw = bytearray(adapter_to_bytes(make_adapter(tiny_config, "x", seed=0)))
@@ -299,11 +298,6 @@ class TestSerialization:
                 adapter_from_bytes(data)
             except FormatError:
                 pass
-
-    def test_metadata_not_in_format(self, tiny_config):
-        bare = make_adapter(tiny_config, "same", seed=4, metadata="")
-        labeled = make_adapter(tiny_config, "same", seed=4, metadata="task-00")
-        assert adapter_to_bytes(bare) == adapter_to_bytes(labeled)
 
 
 class TestManifest:

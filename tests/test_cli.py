@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from loraroute.cli import main
-from loraroute.harness import load_tasks, report_from_csv, report_from_json
+from loraroute.harness import load_tasks
+
+from conftest import read_report
 
 TINY_CONFIG = "32,2,2,64,64,96"
 
@@ -329,9 +331,10 @@ class TestExperiment:
         stdout = capsys.readouterr().out
         assert f"wrote heatmap report to {out}" in stdout
         assert "status=" in stdout
-        report = report_from_csv(out.read_text(), "heatmap")
-        assert report.grid.shape == (2, 2)
-        assert report.grid.min() >= 0.0 and report.grid.max() <= 1.0
+        report = read_report(out)
+        assert report["axes"] == "task/adapter"
+        assert report["grid"].shape == (2, 2)
+        assert report["grid"].min() >= 0.0 and report["grid"].max() <= 1.0
 
     def test_counts_report_preserves_selection_mass(self, workspace, tmp_path, capsys):
         out = tmp_path / "counts.csv"
@@ -340,8 +343,8 @@ class TestExperiment:
         )
         assert code == 0
         capsys.readouterr()
-        report = report_from_csv(out.read_text(), "selection_counts")
-        assert report.grid.sum() == 9 * 2
+        report = read_report(out)
+        assert report["grid"].sum() == 9 * 2
 
     def test_alignment_report_embeds_thresholds(self, workspace, tmp_path, capsys):
         out = tmp_path / "align.json"
@@ -350,10 +353,35 @@ class TestExperiment:
         )
         assert code == 0
         capsys.readouterr()
-        report = report_from_json(out.read_text())
-        assert report.kind == "alignment"
-        assert "alignment_spearman_min" in report.metadata["thresholds"]
-        assert report.metadata["skipped_unlabeled"] == 0
+        report = read_report(out)
+        assert report["kind"] == "alignment"
+        assert "alignment_spearman_min" in report["metadata"]["thresholds"]
+        assert report["metadata"]["skipped_unlabeled"] == 0
+
+    def test_alignment_without_adapter_labels_skips_every_adapter(
+        self, workspace, tmp_path, capsys
+    ):
+        tasks_file = tmp_path / "tasks.json"
+        record = json.loads((workspace.pool_dir / "tasks.json").read_text())
+        assert record["adapters"]
+        record["adapters"] = {}
+        tasks_file.write_text(json.dumps(record))
+        out = tmp_path / "align.json"
+        code = main(
+            [
+                "experiment", "--kind", "alignment",
+                "--model", workspace.model,
+                "--pool", workspace.pool,
+                "--tasks-file", str(tasks_file),
+                "--out", str(out),
+                "--samples", "6", "--k", "2",
+            ]
+        )
+        assert code == 0
+        assert "spearman=undefined status=n/a" in capsys.readouterr().out
+        metadata = read_report(out)["metadata"]
+        assert metadata["skipped_unlabeled"] == len(workspace.adapter_for)
+        assert metadata["n_pairs"] == 0
 
     def test_ablate_writes_one_row_per_value(self, workspace, tmp_path, capsys):
         out = tmp_path / "ablate.csv"
@@ -363,8 +391,8 @@ class TestExperiment:
         )
         assert code == 0
         capsys.readouterr()
-        report = report_from_csv(out.read_text(), "ablation")
-        assert report.row_labels == ("1", "2", "99")
+        report = read_report(out)
+        assert report["row_labels"] == ["1", "2", "99"]
 
     def test_timing_reports_each_length(self, workspace, tmp_path, capsys):
         out = tmp_path / "timing.json"
@@ -374,8 +402,8 @@ class TestExperiment:
         )
         assert code == 0
         capsys.readouterr()
-        report = report_from_json(out.read_text())
-        assert [r["length"] for r in report.records] == [2, 5]
+        report = read_report(out)
+        assert [r["length"] for r in report["records"]] == [2, 5]
 
     def test_ablate_without_axis_is_usage_error(self, workspace, tmp_path, capsys):
         code = run_experiment(workspace, tmp_path / "x.csv", "--kind", "ablate")

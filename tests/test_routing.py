@@ -7,7 +7,7 @@ from loraroute import (
     SignalReport,
     StaleDecisionError,
     ValidationError,
-    decision_from_json,
+    RoutingDecision,
     decision_to_json,
     delta_apply,
     fuse_parameters,
@@ -18,7 +18,7 @@ from loraroute import (
     select_topk,
 )
 
-from conftest import make_mixed_pool, make_pool
+from conftest import make_adapter, make_mixed_pool, make_pool
 
 
 def report_from_scores(scores, revision=1, scoring="norm"):
@@ -158,10 +158,10 @@ class TestMerging:
     def test_fusion_matches_manual_dense_sum(self, tiny_config):
         pool = make_pool(tiny_config, 4, alpha=2.0)
         report_scores = {f"ad{i:02d}": float(i + 1) for i in range(4)}
-        decision = select_topk(report_from_scores(report_scores), 2)
+        decision = select_topk(report_from_scores(report_scores, revision=pool.revision), 2)
         fused = fuse_parameters(pool, decision)
         weights = decision.weights()
-        for (block, site), got in fused.deltas.items():
+        for (block, site), got in fused.items():
             want = np.zeros((tiny_config.d_model, tiny_config.d_model))
             for adapter_id, w in weights.items():
                 ad = pool.get(adapter_id)
@@ -171,15 +171,17 @@ class TestMerging:
 
     def test_fused_delta_covers_all_sites(self, tiny_config):
         pool = make_pool(tiny_config, 3)
-        decision = select_topk(report_from_scores({"ad00": 1.0, "ad01": 2.0, "ad02": 3.0}), 2)
+        scores = {"ad00": 1.0, "ad01": 2.0, "ad02": 3.0}
+        decision = select_topk(report_from_scores(scores, revision=pool.revision), 2)
         fused = fuse_parameters(pool, decision)
-        assert set(fused.deltas) == {(j, s) for j in range(tiny_config.n_blocks) for s in ("Q", "V")}
-        assert fused.n_blocks == tiny_config.n_blocks
-        assert fused.d_model == tiny_config.d_model
+        assert set(fused) == {(j, s) for j in range(tiny_config.n_blocks) for s in ("Q", "V")}
+        d = tiny_config.d_model
+        assert all(w.shape == (d, d) for w in fused.values())
 
     def test_mixture_drops_unselected(self, tiny_config):
         pool = make_pool(tiny_config, 3)
-        decision = select_topk(report_from_scores({"ad00": 5.0, "ad01": 4.0, "ad02": 0.1}), 2)
+        scores = {"ad00": 5.0, "ad01": 4.0, "ad02": 0.1}
+        decision = select_topk(report_from_scores(scores, revision=pool.revision), 2)
         hooks = mixture_hooks(pool, decision)
         h = np.random.default_rng(5).normal(size=(2, tiny_config.d_model))
         got = hooks[0].fn(hooks[0].block, hooks[0].site, h, np.zeros_like(h))
@@ -205,12 +207,12 @@ class TestMerging:
             tol = 1e-12 * np.abs(want).max()
             got = hook.fn(hook.block, hook.site, h, np.zeros_like(h))
             np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-            dense = h @ fused.deltas[(hook.block, hook.site)].T
+            dense = h @ fused[(hook.block, hook.site)].T
             np.testing.assert_allclose(dense, want, rtol=0, atol=tol)
 
     def test_empty_decision_merges_to_bare_model(self, tiny_config):
         pool = make_pool(tiny_config, 3)
-        decision = decision_from_json('{"pool_revision": 1, "k": 1, "scoring": "norm", "entries": []}')
+        decision = RoutingDecision(k=1, pool_revision=pool.revision, scoring="norm", selected=())
         assert mixture_hooks(pool, decision) == []
         assert fused_hooks(fuse_parameters(pool, decision)) == []
 
@@ -234,24 +236,57 @@ class TestMerging:
 
     def test_stale_decision_mixture(self, tiny_config):
         pool = make_pool(tiny_config, 3)
-        decision = select_topk(report_from_scores({"ad00": 1.0, "ad01": 2.0, "ad02": 3.0}), 2)
+        scores = {"ad00": 1.0, "ad01": 2.0, "ad02": 3.0}
+        decision = select_topk(report_from_scores(scores, revision=pool.revision), 2)
         pool.remove("ad02")
         with pytest.raises(StaleDecisionError, match="ad02"):
             mixture_hooks(pool, decision)
 
     def test_stale_decision_fusion(self, tiny_config):
         pool = make_pool(tiny_config, 3)
-        decision = select_topk(report_from_scores({"ad00": 1.0, "ad01": 2.0, "ad02": 3.0}), 1)
+        scores = {"ad00": 1.0, "ad01": 2.0, "ad02": 3.0}
+        decision = select_topk(report_from_scores(scores, revision=pool.revision), 1)
         pool.remove("ad02")
         with pytest.raises(StaleDecisionError):
             fuse_parameters(pool, decision)
 
+    def test_hand_built_decision_naming_a_missing_adapter_is_stale(self, tiny_config):
+        pool = make_pool(tiny_config, 2)
+        scores = {"ad00": 1.0, "ghost": 2.0}
+        decision = select_topk(report_from_scores(scores, revision=pool.revision), 2)
+        with pytest.raises(StaleDecisionError, match="ghost"):
+            mixture_hooks(pool, decision)
+
+
+@pytest.mark.parametrize("merge", [mixture_hooks, fuse_parameters], ids=["mixture", "fusion"])
+class TestStaleDecision:
+    """A decision is refused once the pool moved past the revision it was made at,
+    even when every selected id is still present."""
+
+    def _decision(self, tiny_backbone, pool):
+        decision = select_topk(probe(tiny_backbone, pool, [3, 1, 4]), 2)
+        assert decision.pool_revision == pool.revision
+        return decision
+
+    def test_selected_adapter_replaced_under_same_id(self, merge, tiny_config, tiny_backbone):
+        pool = make_pool(tiny_config, 4)
+        decision = self._decision(tiny_backbone, pool)
+        victim = decision.ids()[0]
+        pool.remove(victim)
+        pool.add(make_adapter(tiny_config, victim, seed=99))
+        with pytest.raises(StaleDecisionError, match=victim):
+            merge(pool, decision)
+
+    def test_unselected_adapter_removed(self, merge, tiny_config, tiny_backbone):
+        pool = make_pool(tiny_config, 4)
+        decision = self._decision(tiny_backbone, pool)
+        bystander = next(i for i in pool.ids() if i not in decision.ids())
+        pool.remove(bystander)
+        with pytest.raises(StaleDecisionError, match=f"revision {decision.pool_revision}"):
+            merge(pool, decision)
+
 
 class TestDecisionJson:
-    def test_round_trip(self):
-        decision = select_topk(report_from_scores({"a": 1.0, "b": 2.5}, revision=7), 2)
-        back = decision_from_json(decision_to_json(decision))
-        assert back == decision
 
     def test_schema_fields(self):
         import json
@@ -267,9 +302,3 @@ class TestDecisionJson:
         for scoring in ("norm", "inverse_entropy"):
             decision = select_topk(report_from_scores({"a": 1.0}, scoring=scoring), 1)
             assert json.loads(decision_to_json(decision))["scoring"] == scoring
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(ValidationError):
-            decision_from_json("{not json")
-        with pytest.raises(ValidationError):
-            decision_from_json('{"k": 1}')

@@ -11,7 +11,6 @@ from .adapters import (
     LoraAdapter,
     LoraFactors,
     adapter_from_bytes,
-    adapter_hooks,
     adapter_to_bytes,
     delta_apply,
     load_adapter,
@@ -51,11 +50,11 @@ from .errors import (
     UnknownAdapterError,
     ValidationError,
 )
-from .numcore import as_vector, l2_norm, shannon_entropy, softmax
+from .numcore import l2_norm, shannon_entropy, softmax
 from .routing import (
     RoutingDecision,
     SelectedAdapter,
-    decision_to_json,
+    decision_record,
     fuse_parameters,
     fused_hooks,
     mixture_hooks,
@@ -65,12 +64,10 @@ from .routing import (
 from .signals import (
     ENTROPY_FLOOR,
     SignalConfig,
-    SignalEntry,
     SignalReport,
     mean_pool_token,
     probe,
-    score_inverse_entropy,
-    score_norm,
+    score_rows,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,10 +11,10 @@ Inference attaches several adapters at once through one representation:
 :func:`stack_factors` concatenates their factors at one (block, site) along
 the rank, with each adapter's scale folded into its columns of ``A``, so the
 summed delta is one right-to-left product ``A @ (B @ h)`` whose cost stays
-linear in the total rank.  The probe applies it so, through
-:func:`adapter_hooks`, stacking at call time; the merge stacks once per
-request and multiplies the factors out.  :func:`delta_apply`
-is the one-adapter reference that tests compare the stacked path against.
+linear in the total rank.  The probe applies it so, stacking each site's
+factors when its pass reaches that site; the merge stacks once per request
+and multiplies the factors out.  :func:`delta_apply` is the one-adapter
+reference that tests compare the stacked path against.
 
 The pool is a mutable registry keyed by adapter id.  Every successful add or
 remove bumps an integer ``revision``; readers take an atomic snapshot so a
@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .backbone import HOOK_SITES, ModelConfig, ProjectionHook
+from .backbone import HOOK_SITES, ModelConfig
 from .errors import (
     DuplicateAdapterError,
     FormatError,
@@ -234,29 +234,6 @@ def stack_factors(
     return a, b
 
 
-def adapter_hooks(adapters: Sequence[LoraAdapter]) -> list[ProjectionHook]:
-    """Hooks attaching ``adapters``, each at its own ``alpha``, to every (block, site).
-
-    Each hook stacks its own site's factors when called, so a pool-wide
-    stack exists for one site at a time, never for every site at once.  It
-    serves the probe, which attaches the whole pool, and single-adapter
-    callers; the merges stack once per request in :mod:`loraroute.routing`.
-    """
-    adapters = tuple(adapters)
-    if not adapters:
-        return []
-    n_blocks = adapters[0].n_blocks
-    if any(a.n_blocks != n_blocks for a in adapters):
-        raise ShapeMismatchError("adapters span different block counts")
-    scales = [a.alpha for a in adapters]
-
-    def fn(block: int, site: str, h: Array, base: Array) -> Array:
-        a, b = stack_factors(adapters, scales, block, site)
-        return (h @ b.T) @ a.T
-
-    return [ProjectionHook(j, site, fn) for j in range(n_blocks) for site in HOOK_SITES]
-
-
 # -- serialization ---------------------------------------------------------------
 
 
@@ -353,17 +330,22 @@ def load_adapter(path: str) -> LoraAdapter:
 def load_manifest(path: str, config: ModelConfig) -> AdapterPool:
     """Build a pool from a manifest: one adapter path per line, ``#`` comments.
 
-    Relative paths are resolved against the manifest's own directory.
+    Relative paths are resolved against the manifest's own directory.  A
+    manifest that is not UTF-8 text is a :class:`FormatError`.
     """
     base = os.path.dirname(os.path.abspath(path))
     pool = AdapterPool(config)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            target = entry if os.path.isabs(entry) else os.path.join(base, entry)
-            pool.add(load_adapter(target))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"manifest {path} is not valid UTF-8: {exc}") from None
+    for line in lines:
+        entry = line.strip()
+        if not entry or entry.startswith("#"):
+            continue
+        target = entry if os.path.isabs(entry) else os.path.join(base, entry)
+        pool.add(load_adapter(target))
     return pool
 
 

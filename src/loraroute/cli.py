@@ -22,11 +22,20 @@ summary lines printed by ``experiment``).
 Prompts are given as token ids — whitespace-separated integers, or ``@path``
 to read the same format from a file.  There is no tokenizer: ids are the
 interface.
+
+The signal flags of ``route``, ``generate`` and ``experiment`` default to
+``--k 3 --target-block 0 --token-policy first``, the settings the acceptance
+recipe and the committed ``thresholds.json`` were calibrated on.  They
+differ on purpose from the library's defaults (``engine.DEFAULT_K`` 20, the
+last block and the last token), which are what the benchmark workloads run;
+so ``loraroute route`` and ``route_only(..., EngineConfig())`` may pick
+different adapters for one prompt unless the flags are given.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import re
 import sys
@@ -47,7 +56,7 @@ from .harness.reports import ExperimentReport, save_report
 from .harness.tasks import load_tasks, make_tasks, save_tasks
 from .harness.thresholds import load_thresholds
 from .harness.train import train_toy_adapter
-from .routing import decision_to_json, select_topk
+from .routing import decision_record, select_topk
 from .signals import SCORINGS, SignalConfig, probe
 
 DEFAULT_MODEL_CONFIG = "64,4,4,128,256,256"
@@ -91,8 +100,11 @@ def _usage_checked(fn: Callable, *args, **kwargs):
 def _parse_tokens(text: str) -> list[int]:
     """Parse ``--input``: whitespace-separated ints, or ``@file`` of the same."""
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"malformed token list: {exc}") from None
     parts = text.split()
     if not parts:
         raise UsageError("token list is empty")
@@ -142,8 +154,8 @@ def _load_pool(model_path: str, manifest_path: str) -> tuple[Backbone, AdapterPo
     return backbone, pool
 
 
-def _add_signal_flags(p: argparse.ArgumentParser, k_default: int = 3) -> None:
-    p.add_argument("--k", type=int, default=k_default, help="adapters kept by selection")
+def _add_signal_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, default=3, help="adapters kept by selection")
     p.add_argument(
         "--scoring",
         default="norm",
@@ -224,8 +236,10 @@ def cmd_route(args: argparse.Namespace) -> int:
     report = probe(backbone, pool, tokens, config.signal)
     decision = select_topk(report, config.k)
     if args.json:
-        extra = {"all_scores": report.scores()} if args.explain else None
-        print(decision_to_json(decision, extra=extra))
+        record = decision_record(decision)
+        if args.explain:
+            record["all_scores"] = report.scores()
+        print(json.dumps(record))
         return 0
     for rank, sel in enumerate(decision.selected, start=1):
         print(f"{rank}. {sel.adapter_id} score={sel.score!r} weight={sel.weight!r}")
@@ -258,9 +272,8 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
-def _experiment_summary(kind: str, report: ExperimentReport) -> str:
-    """One stdout line checking the report against the active thresholds."""
-    t = load_thresholds()
+def _experiment_summary(kind: str, report: ExperimentReport, t: dict[str, float]) -> str:
+    """One stdout line checking the report against the thresholds ``t``."""
     if kind == "heatmap":
         grid = report.grid
         if len(report.row_labels) == len(report.col_labels):
@@ -315,6 +328,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     tasks, labels = load_tasks(args.tasks_file)
     if not tasks:
         raise UsageError(f"tasks file {args.tasks_file} holds no tasks")
+    thresholds = load_thresholds()
     by_id = {t.task_id: t for t in tasks}
     if args.task is not None and args.task not in by_id:
         raise UsageError(f"--task {args.task!r} not in tasks file (have {sorted(by_id)})")
@@ -331,7 +345,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     elif kind == "alignment":
         report = alignment_analysis(backbone, pool, tasks, labels, config, **sampling)
         report = dataclasses.replace(
-            report, metadata={**report.metadata, "thresholds": load_thresholds()}
+            report, metadata={**report.metadata, "thresholds": thresholds}
         )
     elif kind == "ablate":
         if args.axis is None or args.values is None:
@@ -352,7 +366,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
     save_report(report, args.out)
     print(f"wrote {kind} report to {args.out}")
-    print(_experiment_summary(kind, report))
+    print(_experiment_summary(kind, report, thresholds))
     return 0
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 from .adapters import AdapterPool
 from .backbone import Backbone, ProjectionHook
 from .errors import ValidationError
-from .routing import RoutingDecision, decision_to_json, mixture_hooks, select_topk
+from .routing import RoutingDecision, decision_record, mixture_hooks, select_topk
 from .signals import SignalConfig, probe
 
 #: Default number of adapters kept by selection.
@@ -116,7 +116,7 @@ def route_and_generate(
 def route_result_to_json(result: RouteResult) -> str:
     """Render the full result (decision, tokens, timings) as one JSON record."""
     record = {
-        "decision": json.loads(decision_to_json(result.decision)),
+        "decision": decision_record(result.decision),
         "output_tokens": list(result.output_tokens),
         "timings": result.timings,
         "forward_pass_count": result.forward_pass_count,

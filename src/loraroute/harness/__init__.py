@@ -25,7 +25,6 @@ from .tasks import (
     load_tasks,
     make_tasks,
     save_tasks,
-    task_loss,
 )
 from .thresholds import THRESHOLDS_ENV_VAR, default_thresholds_text, load_thresholds
 from .train import (

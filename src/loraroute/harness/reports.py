@@ -14,6 +14,8 @@ inherently run-dependent, though the schema is still stable).
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -86,15 +88,18 @@ class ExperimentReport:
 
         The top-left cell is ``<row_axis>/<col_axis>`` followed by the column
         labels; each data row starts with its row label.  Floats are written
-        with ``repr`` so parsing is lossless.
+        with ``repr`` so parsing is lossless, and the :mod:`csv` module quotes
+        any label holding a comma, quote or newline.
         """
         if self.kind not in GRID_KINDS:
             raise ValidationError(f"{self.kind} reports serialize to JSON, not CSV")
-        lines = [",".join([f"{self.row_axis}/{self.col_axis}", *self.col_labels])]
         assert self.grid is not None
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([f"{self.row_axis}/{self.col_axis}", *self.col_labels])
         for label, row in zip(self.row_labels, self.grid):
-            lines.append(",".join([label, *(repr(float(x)) for x in row)]))
-        return "\n".join(lines) + "\n"
+            writer.writerow([label, *(repr(float(x)) for x in row)])
+        return out.getvalue()
 
     def to_json(self) -> str:
         """Full JSON rendering; works for every kind.

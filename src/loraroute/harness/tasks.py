@@ -6,6 +6,11 @@ the correct continuation of a prompt is the permutation applied to its last
 token.  Because bands are disjoint, a task's data distribution identifies it;
 because the rule is a bijection on the band, exact-match accuracy is a clean
 signal with an uninformative base rate of roughly ``1 / vocab_size``.
+
+:func:`save_tasks` writes the tasks file (the tasks plus which task each
+adapter was trained for) and :func:`load_tasks` reads it back; a file that
+cannot be read as one is a :class:`~loraroute.errors.ValidationError`, never
+a bare decode or conversion error.
 """
 from __future__ import annotations
 
@@ -15,7 +20,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..backbone import Backbone, ProjectionHook
 from ..errors import ValidationError
 
 Array = np.ndarray
@@ -133,29 +137,6 @@ def make_tasks(
     return tasks
 
 
-# -- evaluation helpers --------------------------------------------------------
-
-
-def task_loss(
-    backbone: Backbone,
-    task: SyntheticTask,
-    hooks: Sequence[ProjectionHook] = (),
-    n_samples: int = 50,
-    prompt_len: int = DEFAULT_PROMPT_LEN,
-    seed: int = 0,
-) -> float:
-    """Mean next-token cross-entropy at the final prompt position."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(n_samples):
-        prompt = task.sample_prompt(rng, prompt_len)
-        target = task.target_next(prompt)
-        logits = backbone.forward(prompt, hooks).logits[-1]
-        shifted = logits - np.max(logits)
-        total += float(np.log(np.sum(np.exp(shifted))) - shifted[target])
-    return total / n_samples
-
-
 # -- task manifests --------------------------------------------------------------
 
 
@@ -185,13 +166,15 @@ def save_tasks(
 
 
 def load_tasks(path: str) -> tuple[list[SyntheticTask], dict[str, str]]:
-    """Read :func:`save_tasks` output: ``(tasks, adapter_labels)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed tasks file: {exc}") from exc
+    """Read :func:`save_tasks` output: ``(tasks, adapter_labels)``.
+
+    A file that is not UTF-8 JSON of that shape is a :class:`ValidationError`
+    naming it malformed; a well-formed task that breaks a task rule raises
+    :class:`SyntheticTask`'s own error.
+    """
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
         vocab = int(record["vocab_size"])
         tasks = [
             SyntheticTask(
@@ -205,6 +188,9 @@ def load_tasks(path: str) -> tuple[list[SyntheticTask], dict[str, str]]:
             for t in record["tasks"]
         ]
         labels = {str(k): str(v) for k, v in record.get("adapters", {}).items()}
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    # ValueError covers undecodable bytes, bad JSON and unparseable numbers.
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed tasks file: {exc}") from exc
     return tasks, labels

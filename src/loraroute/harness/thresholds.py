@@ -45,18 +45,19 @@ def load_thresholds(path: str | None = None) -> dict[str, float]:
 
     Precedence: explicit argument, then the environment variable, then the
     file shipped inside the package.  The result holds exactly
-    :data:`REQUIRED_KEYS`; other keys in the file are ignored.  Missing keys
-    or non-numeric values are a :class:`~loraroute.errors.ValidationError`.
+    :data:`REQUIRED_KEYS`; other keys in the file are ignored.  A file that
+    is not UTF-8 JSON, missing keys or non-numeric values are a
+    :class:`~loraroute.errors.ValidationError`.
     """
     source = path or os.environ.get(THRESHOLDS_ENV_VAR)
-    if source:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = default_thresholds_text()
     try:
+        if source:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = default_thresholds_text()
         record = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise ValidationError(f"malformed thresholds file: {exc}") from exc
     if not isinstance(record, dict):
         raise ValidationError("thresholds file must hold a JSON object")

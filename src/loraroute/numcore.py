@@ -1,8 +1,8 @@
 """Dense float64 kernels used throughout the package.
 
-Inputs are validated once at the boundary: :func:`as_vector` takes one
-vector, the kernels take one vector ``(d,)`` or a block of rows ``(N, d)``,
-made C-contiguous.  The kernels reduce along the last axis, so a block is
+Inputs are validated once at the boundary: each kernel takes one vector
+``(d,)`` or a block of rows ``(N, d)``, made C-contiguous and checked
+finite and non-empty.  The kernels reduce along the last axis, so a block is
 one pass and a row gives bitwise the same result alone as inside a block.
 Everything is plain numpy — no exotic numerics, just the few conventions
 that matter spelled out: softmax subtracts the max before exponentiating,
@@ -30,14 +30,6 @@ def _as_rows(data: Any) -> Array:
         raise ValidationError(f"expected a vector or rows of length >= 1, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("vector contains non-finite entries")
-    return v
-
-
-def as_vector(data: Any) -> Array:
-    """Coerce ``data`` to a finite 1-D float64 array of length >= 1."""
-    v = _as_rows(data)
-    if v.ndim != 1:
-        raise ValidationError(f"expected a 1-D vector of length >= 1, got shape {v.shape}")
     return v
 
 

@@ -1,9 +1,10 @@
 """Turning signal reports into adapter selections and merged models.
 
-Selection is plain top-k over scores with deterministic tie-breaking
-(ascending adapter id).  Selected scores are normalized to convex weights
-``w_i = s_i / sum(s)``; an all-zero score vector falls back to uniform
-weights rather than dividing by zero.
+Selection ranks the indices of the report's score vector, with
+deterministic tie-breaking (ascending adapter id), and keeps the top k.
+Selected scores are normalized to convex weights ``w_i = s_i / sum(s)``; an
+all-zero score vector falls back to uniform weights rather than dividing by
+zero.
 
 The merge keeps the selected adapters and rescales each one's effective
 alpha to ``w_i * alpha_i``; unselected adapters are dropped.  By linearity
@@ -21,12 +22,12 @@ deltas, and decoding under it to a per-adapter reference.
 A decision is pinned to the pool revision its report was probed at: merging
 it against a pool at any other revision raises :class:`StaleDecisionError`,
 since an add or remove in between may have replaced a selected adapter under
-the same id.  :func:`decision_to_json` writes a decision as one JSON record
-(the CLI's ``route --json``); nothing reads decisions back.
+the same id.  :func:`decision_record` renders a decision as one JSON-ready
+dict, which the CLI's ``route --json`` and the engine's result record embed;
+nothing reads decisions back.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -92,13 +93,14 @@ def select_topk(report: SignalReport, k: int) -> RoutingDecision:
     """
     if not isinstance(k, int) or k < 1:
         raise ValidationError(f"k must be a positive integer, got {k!r}")
-    if not report.entries:
+    ids = report.adapter_ids
+    if not ids:
         raise ValidationError("cannot select from an empty signal report")
-    ranked = sorted(report.entries, key=lambda e: (-e.score, e.adapter_id))
-    chosen = ranked[: min(k, len(ranked))]
-    weights = normalize_weights([e.score for e in chosen])
+    scores = report.score_vector.tolist()
+    chosen = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+    weights = normalize_weights([scores[i] for i in chosen])
     selected = tuple(
-        SelectedAdapter(e.adapter_id, e.score, float(w)) for e, w in zip(chosen, weights)
+        SelectedAdapter(ids[i], scores[i], float(w)) for i, w in zip(chosen, weights)
     )
     return RoutingDecision(
         k=k, pool_revision=report.pool_revision, scoring=report.scoring, selected=selected
@@ -163,9 +165,9 @@ def fused_hooks(deltas: Mapping[tuple[int, str], Array]) -> list[ProjectionHook]
 # -- decision serialization ------------------------------------------------------
 
 
-def decision_to_json(decision: RoutingDecision, extra: Mapping[str, object] | None = None) -> str:
-    """Render the decision as a JSON record."""
-    record: dict[str, object] = {
+def decision_record(decision: RoutingDecision) -> dict[str, object]:
+    """The decision as one JSON-ready record."""
+    return {
         "pool_revision": decision.pool_revision,
         "k": decision.k,
         "scoring": decision.scoring,
@@ -174,7 +176,3 @@ def decision_to_json(decision: RoutingDecision, extra: Mapping[str, object] | No
             for s in decision.selected
         ],
     }
-    if extra:
-        record.update(extra)
-    return json.dumps(record)
-

@@ -4,19 +4,25 @@ The probe attaches every pool adapter to the backbone at its own alpha and
 runs exactly one forward pass over the input tokens.  A zero-returning spy
 at the Q projection of one chosen block captures that projection's input
 ``h``, produced with *all* adapters attached at every block before it (no
-later block can reach ``h``).  A token policy (first / last / mean)
-collapses the per-token rows of ``h`` to one vector, and by linearity each
-adapter ``i``'s contribution to the Q projection is ``o_i = alpha_i * A_i @
-B_i @ h`` on that vector, split out of one product over the stacked factors
-of the whole pool.  A scoring rule turns each ``o_i`` into a scalar, for the
-whole pool in one row-wise pass:
+later block can reach ``h``).  The attachment is one closure per pass that
+stacks a site's factors (:func:`~loraroute.adapters.stack_factors`) when
+that site is reached, so a pool-wide stack exists for one site at a time.
+A token policy (first / last / mean) collapses the per-token rows of ``h``
+to one vector, and by linearity each adapter ``i``'s contribution to the Q
+projection is ``o_i = alpha_i * A_i @ B_i @ h`` on that vector, split out of
+one product over the stacked factors of the whole pool.  :func:`score_rows`,
+the one scorer, turns each ``o_i`` into a scalar, for the whole pool in one
+row-wise pass:
 
 * ``norm`` — the Euclidean norm of ``o_i``; bigger response, bigger score.
 * ``inverse_entropy`` — softmax ``o_i`` and score ``1 / H``; the more peaked
   the response, the bigger the score.  ``H`` is floored at
   :data:`ENTROPY_FLOOR` so one-hot-like outputs stay finite.
 
-Scores say nothing by themselves; routing compares them across the pool.
+The :class:`SignalReport` holds what the probe computed as arrays: the
+``(N, d)`` block of outputs and the ``(N,)`` score vector, with row ``i``
+belonging to ``adapter_ids[i]``.  Scores say nothing by themselves; routing
+compares them across the pool.
 """
 from __future__ import annotations
 
@@ -25,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import AdapterPool, adapter_hooks, stack_factors
-from .backbone import Backbone, ProjectionHook
+from .adapters import AdapterPool, stack_factors
+from .backbone import HOOK_SITES, Backbone, ProjectionHook
 from .errors import EmptyPoolError, ValidationError
-from .numcore import as_vector, l2_norm, shannon_entropy, softmax
+from .numcore import l2_norm, shannon_entropy, softmax
 
 Array = np.ndarray
 
@@ -78,43 +84,32 @@ class SignalConfig:
 
 
 @dataclass(frozen=True)
-class SignalEntry:
-    """One adapter's captured projection output and its scalar score."""
-
-    adapter_id: str
-    output: Array
-    score: float
-
-
-@dataclass(frozen=True)
 class SignalReport:
-    """Probe result: one entry per pool adapter, ascending id order."""
+    """Probe result as arrays, in ascending adapter id order.
+
+    Row ``i`` of ``outputs`` ``(N, d)`` and entry ``i`` of ``score_vector``
+    ``(N,)`` belong to ``adapter_ids[i]``.
+    """
 
     pool_revision: int
     target_block: int
     token_policy: str
     scoring: str
-    entries: tuple[SignalEntry, ...]
+    adapter_ids: tuple[str, ...]
+    outputs: Array
+    score_vector: Array
 
     def scores(self) -> dict[str, float]:
-        return {e.adapter_id: e.score for e in self.entries}
+        return dict(zip(self.adapter_ids, self.score_vector.tolist()))
 
 
-def _score_rows(outputs: Array, scoring: str) -> Array:
-    """Score each row of an ``(N, d)`` block of captured projection outputs."""
+def score_rows(outputs: Array, scoring: str) -> Array:
+    """Score one captured projection output ``(d,)``, or each row of an ``(N, d)`` block."""
     if scoring == "norm":
         return l2_norm(outputs)
-    return 1.0 / np.maximum(shannon_entropy(softmax(outputs)), ENTROPY_FLOOR)
-
-
-def score_norm(output: Array) -> float:
-    """Euclidean norm of the captured projection output."""
-    return float(_score_rows(as_vector(output), "norm"))
-
-
-def score_inverse_entropy(output: Array) -> float:
-    """Reciprocal Shannon entropy of the softmaxed projection output."""
-    return float(_score_rows(as_vector(output), "inverse_entropy"))
+    if scoring == "inverse_entropy":
+        return 1.0 / np.maximum(shannon_entropy(softmax(outputs)), ENTROPY_FLOOR)
+    raise ValidationError(f"scoring must be one of {SCORINGS}, got {scoring!r}")
 
 
 def mean_pool_token(rows: Array, policy: str) -> Array:
@@ -149,29 +144,32 @@ def probe(
         raise EmptyPoolError("probe requires at least one adapter in the pool")
     target = config.resolve_block(backbone.config.n_blocks)
 
+    scales = [ad.alpha for ad in adapters]
     captured: list[Array] = []
+
+    def attach(block: int, site: str, h: Array, base: Array) -> Array:
+        a, b = stack_factors(adapters, scales, block, site)
+        return (h @ b.T) @ a.T
 
     def spy(block: int, site: str, h: Array, base: Array) -> Array:
         captured.append(h)
         return np.zeros_like(base)
 
     # The input to (target, Q) depends only on earlier blocks: attach there.
-    hooks = [hook for hook in adapter_hooks(adapters) if hook.block < target]
+    hooks = [ProjectionHook(j, site, attach) for j in range(target) for site in HOOK_SITES]
     backbone.forward(tokens, hooks + [ProjectionHook(target, PROBE_SITE, spy)])
     pooled = mean_pool_token(captured[0], config.token_policy)
 
-    a, b = stack_factors(adapters, [ad.alpha for ad in adapters], target, PROBE_SITE)
+    a, b = stack_factors(adapters, scales, target, PROBE_SITE)
     starts = np.cumsum([0] + [ad.rank for ad in adapters[:-1]])
     # Column run i of ``a * (b @ pooled)`` summed is alpha_i * A_i @ B_i @ pooled.
     outputs = np.add.reduceat(a * (b @ pooled), starts, axis=1).T
-    scores = _score_rows(outputs, config.scoring)
     return SignalReport(
         pool_revision=revision,
         target_block=target,
         token_policy=config.token_policy,
         scoring=config.scoring,
-        entries=tuple(
-            SignalEntry(adapter_id=ad.id, output=out, score=float(score))
-            for ad, out, score in zip(adapters, outputs, scores)
-        ),
+        adapter_ids=tuple(ad.id for ad in adapters),
+        outputs=outputs,
+        score_vector=score_rows(outputs, config.scoring),
     )

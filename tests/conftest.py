@@ -58,19 +58,23 @@ def make_mixed_pool(config):
     return pool
 
 
-def per_adapter_reference_decode(backbone, pool, decision, prompt, max_new):
-    """Greedy full recompute under one hook per (block, site) that sums each
-    selected adapter's own ``delta_apply`` at ``w_i * alpha_i``: the slow
-    reference a merged operator must decode like."""
-    by_id = {a.id: a for a in pool.snapshot()[1]}
-    scaled = [(by_id[i], w * by_id[i].alpha) for i, w in decision.weights().items()]
+def delta_apply_hooks(n_blocks, terms):
+    """One hook per (block, site) that sums each ``(adapter, scale)`` term's own
+    ``delta_apply`` at that scale: the slow reference way to attach adapters."""
 
     def fn(block, site, h, base):
-        return sum(delta_apply(a, block, site, h, alpha_override=s) for a, s in scaled)
+        return sum(delta_apply(a, block, site, h, alpha_override=s) for a, s in terms)
 
-    hooks = [
-        ProjectionHook(j, site, fn) for j in range(backbone.config.n_blocks) for site in ("Q", "V")
-    ]
+    return [ProjectionHook(j, site, fn) for j in range(n_blocks) for site in ("Q", "V")]
+
+
+def per_adapter_reference_decode(backbone, pool, decision, prompt, max_new):
+    """Greedy full recompute with each selected adapter attached through its
+    own ``delta_apply`` at ``w_i * alpha_i``: the slow reference a merged
+    operator must decode like."""
+    by_id = {a.id: a for a in pool.snapshot()[1]}
+    scaled = [(by_id[i], w * by_id[i].alpha) for i, w in decision.weights().items()]
+    hooks = delta_apply_hooks(backbone.config.n_blocks, scaled)
     seq = list(prompt)
     for _ in range(max_new):
         seq.append(int(np.argmax(backbone.forward(seq, hooks).logits[-1])))

@@ -21,7 +21,6 @@ from loraroute import (
     RoutingDecision,
     SelectedAdapter,
     SignalConfig,
-    SignalEntry,
     SignalReport,
     adapter_from_bytes,
     adapter_to_bytes,
@@ -35,8 +34,7 @@ from loraroute import (
     probe,
     route_and_generate,
     save_backbone,
-    score_inverse_entropy,
-    score_norm,
+    score_rows,
     select_topk,
 )
 from loraroute.harness import default_thresholds_text, make_tasks, signal_heatmap, ablate, timing_sweep, train_toy_adapter
@@ -177,9 +175,7 @@ class TestCriterion03TopKCorrectness:
             ids = [f"a{i:03d}" for i in range(n)]
             report = SignalReport(
                 pool_revision=0, target_block=0, token_policy="first", scoring="norm",
-                entries=tuple(
-                    SignalEntry(i, np.zeros(1), float(s)) for i, s in zip(ids, scores)
-                ),
+                adapter_ids=tuple(ids), outputs=np.zeros((n, 1)), score_vector=scores,
             )
             k = int(rng.integers(1, n + 3))
             got = select_topk(report, k).ids()
@@ -196,12 +192,12 @@ class TestCriterion03TopKCorrectness:
 
 class TestCriterion04SignalClosedForms:
     def test_norm_entropy_and_floor(self):
-        norm_exact = score_norm(np.array([3.0, 4.0])) == 5.0
+        norm_exact = score_rows(np.array([3.0, 4.0]), "norm") == 5.0
         worst = 0.0
         for d in (2, 4, 8, 64):
-            got = score_inverse_entropy(np.full(d, 0.7))
+            got = score_rows(np.full(d, 0.7), "inverse_entropy")
             worst = max(worst, abs(got - 1.0 / np.log(d)))
-        floored = score_inverse_entropy(np.array([1000.0, 0.0, 0.0]))
+        floored = score_rows(np.array([1000.0, 0.0, 0.0]), "inverse_entropy")
         floor_ok = np.isfinite(floored) and floored == pytest.approx(1e12)
         ok = norm_exact and worst <= 1e-9 and floor_ok
         verdict(

@@ -15,7 +15,6 @@ from loraroute import (
     UnknownAdapterError,
     ValidationError,
     adapter_from_bytes,
-    adapter_hooks,
     adapter_to_bytes,
     delta_apply,
     load_adapter,
@@ -205,22 +204,6 @@ class TestPool:
             t.join()
         assert len(pool) == 32
         assert pool.revision == 32
-
-
-class TestHookBuilder:
-    def test_single_adapter_matches_delta_apply(self, tiny_config, tiny_backbone):
-        ad = make_adapter(tiny_config, "solo", seed=2)
-        hooks = adapter_hooks([ad])
-        assert len(hooks) == tiny_config.n_blocks * 2
-        h = np.random.default_rng(0).normal(size=(3, tiny_config.d_model))
-        base = np.zeros_like(h)
-        for hook in hooks:
-            got = hook.fn(hook.block, hook.site, h, base)
-            want = delta_apply(ad, hook.block, hook.site, h)
-            assert np.array_equal(got, want)
-
-    def test_empty_adapter_list_gives_no_hooks(self):
-        assert adapter_hooks([]) == []
 
 
 class TestSerialization:

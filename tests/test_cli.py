@@ -4,8 +4,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from loraroute import (
+    EngineConfig,
+    SignalConfig,
+    decision_record,
+    load_backbone,
+    load_manifest,
+    route_only,
+)
 from loraroute.cli import main
 from loraroute.harness import load_tasks
+from loraroute.harness.thresholds import THRESHOLDS_ENV_VAR
 
 from conftest import read_report
 
@@ -213,6 +222,16 @@ class TestRoute:
             )
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_default_signal_flags_route_at_block_zero_first_token_k3(self, workspace, capsys):
+        tokens = [0, 1, 2, 3, 0, 2]
+        argv = ["route", "--model", workspace.model, "--pool", workspace.pool, "--json"]
+        assert main([*argv, "--input", " ".join(map(str, tokens))]) == 0
+        backbone = load_backbone(workspace.model)
+        pool = load_manifest(workspace.pool, backbone.config)
+        cli_defaults = EngineConfig(SignalConfig(target_block=0, token_policy="first"), k=3)
+        decision = route_only(backbone, pool, tokens, cli_defaults)
+        assert json.loads(capsys.readouterr().out) == decision_record(decision)
 
     def test_malformed_tokens_are_usage_error(self, workspace, capsys):
         code = main(
@@ -485,3 +504,61 @@ class TestParser:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: format:")
 
+
+    @staticmethod
+    def assert_one_error_line(argv, capsys, code, prefix):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+    @staticmethod
+    def counts_argv(workspace, tmp_path, tasks_file):
+        return [
+            "experiment", "--kind", "counts", "--samples", "1",
+            "--model", workspace.model, "--pool", workspace.pool,
+            "--tasks-file", str(tasks_file), "--out", str(tmp_path / "counts.csv"),
+        ]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.update(vocab_size="abc"),
+            lambda r: r["tasks"][0].update(band_start="x"),
+            lambda r: r["tasks"][0].update(in_band_prob="nan?"),
+            lambda r: r.update(adapters=["a"]),
+            None,
+        ],
+        ids=["vocab-size", "band-start", "in-band-prob", "adapters-list", "not-utf8"],
+    )
+    def test_corrupt_tasks_file_is_validation_error(self, workspace, tmp_path, capsys, edit):
+        tasks_file = tmp_path / "tasks.json"
+        if edit is None:
+            tasks_file.write_bytes(b"\xff")
+        else:
+            record = json.loads((workspace.pool_dir / "tasks.json").read_text())
+            edit(record)
+            tasks_file.write_text(json.dumps(record))
+        argv = self.counts_argv(workspace, tmp_path, tasks_file)
+        self.assert_one_error_line(argv, capsys, 2, "error: validation: malformed tasks file")
+
+    def test_non_utf8_thresholds_file_is_validation_error(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        bad = tmp_path / "thresholds.json"
+        bad.write_bytes(b"\xff")
+        monkeypatch.setenv(THRESHOLDS_ENV_VAR, str(bad))
+        argv = self.counts_argv(workspace, tmp_path, workspace.tasks_file)
+        self.assert_one_error_line(argv, capsys, 2, "error: validation: malformed thresholds file")
+        assert not (tmp_path / "counts.csv").exists()
+
+    def test_non_utf8_manifest_is_format_error(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(b"\xff\n")
+        argv = ["route", "--model", workspace.model, "--pool", str(manifest), "--input", "1"]
+        self.assert_one_error_line(argv, capsys, 2, "error: format:")
+
+    def test_non_utf8_input_file_is_usage_error(self, workspace, tmp_path, capsys):
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_bytes(b"1 2 \xff")
+        argv = ["route", "--model", workspace.model, "--pool", workspace.pool, "--input", f"@{prompt}"]
+        self.assert_one_error_line(argv, capsys, 1, "error: usage: malformed token list")

@@ -9,7 +9,6 @@ from loraroute import (
     SignalConfig,
     StaleDecisionError,
     ValidationError,
-    adapter_hooks,
     fuse_parameters,
     fused_hooks,
     mixture_hooks,
@@ -18,7 +17,7 @@ from loraroute import (
     route_result_to_json,
 )
 
-from conftest import make_adapter, make_pool
+from conftest import delta_apply_hooks, make_adapter, make_pool
 
 
 class TestEngineConfig:
@@ -66,7 +65,8 @@ class TestConvexityEdges:
         pool = AdapterPool(tiny_config)
         pool.add(adapter)
         routed = route_and_generate(tiny_backbone, pool, [4, 5, 6], EngineConfig(k=1), max_new=10)
-        direct = tiny_backbone.generate([4, 5, 6], adapter_hooks([adapter]), max_new=10)
+        direct_hooks = delta_apply_hooks(tiny_config.n_blocks, [(adapter, adapter.alpha)])
+        direct = tiny_backbone.generate([4, 5, 6], direct_hooks, max_new=10)
         assert routed.output_tokens == direct.tokens
         assert routed.decision.weights()["solo"] == 1.0
 

@@ -14,12 +14,12 @@ from loraroute import (
     SignalConfig,
     TrainingDivergedError,
     ValidationError,
-    adapter_hooks,
     adapter_to_bytes,
     init_backbone,
 )
 from loraroute.adapters import AdapterPool, LoraAdapter
 from loraroute.harness import (
+    DEFAULT_PROMPT_LEN,
     ExperimentReport,
     SyntheticTask,
     ablate,
@@ -37,13 +37,12 @@ from loraroute.harness import (
     save_tasks,
     selection_counts,
     signal_heatmap,
-    task_loss,
     timing_sweep,
     train_toy_adapter,
 )
 from loraroute.harness.thresholds import REQUIRED_KEYS, THRESHOLDS_ENV_VAR
 
-from conftest import make_adapter, make_pool
+from conftest import delta_apply_hooks, make_adapter, make_pool
 
 
 # -- synthetic tasks ---------------------------------------------------------------
@@ -156,9 +155,36 @@ class TestTaskManifest:
         assert loaded_labels == labels
 
     def test_malformed_file_raises(self, tmp_path):
+        good = tmp_path / "good.json"
+        save_tasks(str(good), make_tasks(2, 64, band_width=2, seed=5), {"a0": "task00"})
+        record = json.loads(good.read_text())
+
+        def edited(edit):
+            copy = json.loads(json.dumps(record))
+            edit(copy)
+            return json.dumps(copy).encode()
+
+        cases = [
+            b"{not json",
+            b"\xff",
+            edited(lambda r: r.update(vocab_size="abc")),
+            edited(lambda r: r["tasks"][0].update(band_start="x")),
+            edited(lambda r: r["tasks"][1].update(in_band_prob="nan?")),
+            edited(lambda r: r.update(adapters=["a"])),
+        ]
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValidationError):
+        for raw in cases:
+            path.write_bytes(raw)
+            with pytest.raises(ValidationError, match="malformed tasks file"):
+                load_tasks(str(path))
+
+    def test_task_rule_error_passes_through(self, tmp_path):
+        path = tmp_path / "tasks.json"
+        save_tasks(str(path), make_tasks(1, 64, band_width=2, seed=5))
+        record = json.loads(path.read_text())
+        record["tasks"][0]["in_band_prob"] = 2.0
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValidationError, match=r"^in_band_prob must be in"):
             load_tasks(str(path))
 
 
@@ -167,6 +193,19 @@ class TestTaskManifest:
 
 def _one_task(vocab=64):
     return make_tasks(1, vocab, band_width=2, seed=11, in_band_prob=1.0)[0]
+
+
+def task_loss(backbone, task, hooks=(), n_samples=50, seed=0):
+    """Mean next-token cross-entropy at the final prompt position."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(n_samples):
+        prompt = task.sample_prompt(rng, DEFAULT_PROMPT_LEN)
+        target = task.target_next(prompt)
+        logits = backbone.forward(prompt, hooks).logits[-1]
+        shifted = logits - np.max(logits)
+        total += float(np.log(np.sum(np.exp(shifted))) - shifted[target])
+    return total / n_samples
 
 
 class TestTrainer:
@@ -198,9 +237,8 @@ class TestTrainer:
         task = _one_task()
         adapter = train_toy_adapter(tiny_backbone, task, rank=2, steps=120, lr=0.3, seed=1)
         base = task_loss(tiny_backbone, task, (), n_samples=40, seed=999)
-        adapted = task_loss(
-            tiny_backbone, task, adapter_hooks([adapter]), n_samples=40, seed=999
-        )
+        hooks = delta_apply_hooks(tiny_backbone.config.n_blocks, [(adapter, adapter.alpha)])
+        adapted = task_loss(tiny_backbone, task, hooks, n_samples=40, seed=999)
         improvement = (base - adapted) / base
         assert improvement >= load_thresholds()["train_loss_improvement_min"]
 
@@ -226,8 +264,9 @@ class TestTrainerGradients:
         total = 0.0
         factors = {k: LoraFactors(v[0], v[1]) for k, v in params.items()}
         adapter = LoraAdapter(id="x", alpha=1.0, factors=factors)
+        hooks = delta_apply_hooks(tiny_backbone.config.n_blocks, [(adapter, adapter.alpha)])
         for row, target in zip(ids, targets):
-            logits = tiny_backbone.forward(list(row), adapter_hooks([adapter])).logits[-1]
+            logits = tiny_backbone.forward(list(row), hooks).logits[-1]
             shifted = logits - logits.max()
             total += np.log(np.exp(shifted).sum()) - shifted[target]
         assert loss == pytest.approx(total / len(ids), rel=1e-10)
@@ -363,6 +402,19 @@ class TestExperimentReport:
         assert tuple(row[0] for row in rows) == report.row_labels
         for row, want in zip(rows, report.grid):
             assert [float(cell) for cell in row[1:]] == list(want)
+
+    def test_csv_quotes_labels_with_commas_and_quotes(self):
+        report = ExperimentReport(
+            kind="heatmap",
+            row_axis="task",
+            col_axis="adapter",
+            row_labels=("t,0",),
+            col_labels=("a,b", 'q"x'),
+            grid=np.array([[0.5, 1.0]]),
+        )
+        header, row = csv.reader(io.StringIO(report.to_csv()))
+        assert header == ["task/adapter", "a,b", 'q"x']
+        assert row == ["t,0", "0.5", "1.0"]
 
     def test_csv_first_row_names_axes(self):
         report = ExperimentReport(
@@ -696,6 +748,7 @@ class TestThresholds:
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("[1, 2")
-        with pytest.raises(ValidationError):
-            load_thresholds(str(path))
+        for raw in (b"[1, 2", b"\xff"):
+            path.write_bytes(raw)
+            with pytest.raises(ValidationError, match="malformed thresholds file"):
+                load_thresholds(str(path))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loraroute import ValidationError, as_vector, l2_norm, shannon_entropy, softmax
+from loraroute import ValidationError, l2_norm, shannon_entropy, softmax
 
 
 class TestL2Norm:
@@ -85,13 +85,9 @@ class TestShannonEntropy:
 
 
 class TestValidation:
-    def test_as_vector_rejects_2d(self):
+    def test_empty_vector_rejected(self):
         with pytest.raises(ValidationError):
-            as_vector(np.ones((2, 2)))
-
-    def test_as_vector_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            as_vector(np.array([]))
+            l2_norm([])
 
 
 class TestRowWise:

@@ -3,12 +3,11 @@ import pytest
 
 import loraroute.routing as routing
 from loraroute import (
-    SignalEntry,
     SignalReport,
     StaleDecisionError,
     ValidationError,
     RoutingDecision,
-    decision_to_json,
+    decision_record,
     delta_apply,
     fuse_parameters,
     fused_hooks,
@@ -22,16 +21,14 @@ from conftest import make_adapter, make_mixed_pool, make_pool
 
 
 def report_from_scores(scores, revision=1, scoring="norm"):
-    entries = tuple(
-        SignalEntry(adapter_id, np.zeros(1), float(score))
-        for adapter_id, score in scores.items()
-    )
     return SignalReport(
         pool_revision=revision,
         target_block=0,
         token_policy="last",
         scoring=scoring,
-        entries=entries,
+        adapter_ids=tuple(scores),
+        outputs=np.zeros((len(scores), 1)),
+        score_vector=np.array(list(scores.values()), dtype=np.float64),
     )
 
 
@@ -114,7 +111,9 @@ class TestSelectTopK:
             target_block=fwd.target_block,
             token_policy=fwd.token_policy,
             scoring=fwd.scoring,
-            entries=tuple(reversed(fwd.entries)),
+            adapter_ids=fwd.adapter_ids[::-1],
+            outputs=fwd.outputs[::-1],
+            score_vector=fwd.score_vector[::-1],
         )
         assert select_topk(fwd, 2).ids() == select_topk(rev, 2).ids()
 
@@ -123,7 +122,7 @@ class TestSelectTopK:
             select_topk(report_from_scores({"a": 1.0}), 0)
 
     def test_empty_report(self):
-        empty = SignalReport(1, 0, "last", "norm", ())
+        empty = SignalReport(1, 0, "last", "norm", (), np.zeros((0, 1)), np.zeros(0))
         with pytest.raises(ValidationError):
             select_topk(empty, 3)
 
@@ -292,13 +291,11 @@ class TestDecisionJson:
         import json
 
         decision = select_topk(report_from_scores({"a": 1.0}), 1)
-        record = json.loads(decision_to_json(decision))
+        record = json.loads(json.dumps(decision_record(decision)))
         assert set(record) == {"pool_revision", "k", "scoring", "entries"}
         assert set(record["entries"][0]) == {"id", "score", "weight"}
 
     def test_scoring_field_follows_report(self):
-        import json
-
         for scoring in ("norm", "inverse_entropy"):
             decision = select_topk(report_from_scores({"a": 1.0}, scoring=scoring), 1)
-            assert json.loads(decision_to_json(decision))["scoring"] == scoring
+            assert decision_record(decision)["scoring"] == scoring

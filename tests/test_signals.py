@@ -14,8 +14,7 @@ from loraroute import (
     delta_apply,
     mean_pool_token,
     probe,
-    score_inverse_entropy,
-    score_norm,
+    score_rows,
 )
 from loraroute.signals import ENTROPY_FLOOR
 
@@ -44,42 +43,50 @@ def reference_outputs(backbone, adapters, tokens, config):
 
 class TestScoreNorm:
     def test_three_four_five(self):
-        assert score_norm(np.array([3.0, 4.0])) == 5.0
+        assert score_rows(np.array([3.0, 4.0]), "norm") == 5.0
 
     def test_zero_vector_scores_zero(self):
-        assert score_norm(np.zeros(16)) == 0.0
+        assert score_rows(np.zeros(16), "norm") == 0.0
 
     def test_power_of_two_scaling_exact(self):
         o = np.random.default_rng(0).normal(size=32)
-        assert score_norm(2.0 * o) == 2.0 * score_norm(o)
+        assert score_rows(2.0 * o, "norm") == 2.0 * score_rows(o, "norm")
 
     def test_generic_scaling_close(self):
         o = np.random.default_rng(1).normal(size=32)
         c = 3.7
-        assert score_norm(c * o) == pytest.approx(c * score_norm(o), rel=1e-12)
+        assert score_rows(c * o, "norm") == pytest.approx(c * score_rows(o, "norm"), rel=1e-12)
 
 
 class TestScoreInverseEntropy:
     @pytest.mark.parametrize("d", [2, 4, 8, 64])
     def test_constant_vector_hits_lower_bound(self, d):
         # Constant projections softmax to uniform: score = 1 / ln d.
-        assert score_inverse_entropy(np.zeros(d)) == pytest.approx(1.0 / math.log(d), rel=1e-9)
+        score = score_rows(np.zeros(d), "inverse_entropy")
+        assert score == pytest.approx(1.0 / math.log(d), rel=1e-9)
 
     def test_extreme_margin_clamps_to_floor(self):
         # softmax([50, 0]) is one-hot to ~1e-21 entropy, below the floor.
-        score = score_inverse_entropy(np.array([50.0, 0.0]))
+        score = score_rows(np.array([50.0, 0.0]), "inverse_entropy")
         assert score == 1.0 / ENTROPY_FLOOR
         assert np.isfinite(score)
 
     def test_peaked_beats_flat(self):
-        flat = score_inverse_entropy(np.array([1.0, 1.1, 0.9, 1.0]))
-        peaked = score_inverse_entropy(np.array([8.0, 0.0, 0.0, 0.0]))
+        flat = score_rows(np.array([1.0, 1.1, 0.9, 1.0]), "inverse_entropy")
+        peaked = score_rows(np.array([8.0, 0.0, 0.0, 0.0]), "inverse_entropy")
         assert peaked > flat
 
     def test_always_positive(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            assert score_inverse_entropy(rng.normal(size=int(rng.integers(2, 64)))) > 0.0
+            output = rng.normal(size=int(rng.integers(2, 64)))
+            assert score_rows(output, "inverse_entropy") > 0.0
+
+
+class TestScoreRows:
+    def test_unknown_scoring_rejected(self):
+        with pytest.raises(ValidationError):
+            score_rows(np.ones(4), "cosine")
 
 
 class TestMeanPoolToken:
@@ -116,10 +123,11 @@ class TestProbe:
         probe(tiny_backbone, pool, [5, 6])
         assert tiny_backbone.forward_count == before + 1
 
-    def test_one_entry_per_adapter_sorted(self, tiny_backbone, small_pool):
+    def test_one_entry_per_adapter_sorted(self, tiny_backbone, small_pool, tiny_config):
         report = probe(tiny_backbone, small_pool, [1, 2, 3])
-        ids = [e.adapter_id for e in report.entries]
-        assert ids == sorted(small_pool.ids())
+        assert list(report.adapter_ids) == sorted(small_pool.ids())
+        assert report.outputs.shape == (len(small_pool), tiny_config.d_model)
+        assert report.score_vector.shape == (len(small_pool),)
 
     def test_empty_pool_rejected(self, tiny_backbone, tiny_config):
         with pytest.raises(EmptyPoolError):
@@ -157,16 +165,15 @@ class TestProbe:
         assert report.pool_revision == rev
         pool.add(make_adapter(tiny_config, "late", seed=99))
         assert report.pool_revision == rev
-        assert len(report.entries) == 3
+        assert len(report.adapter_ids) == 3
 
     def test_deterministic_across_calls(self, tiny_backbone, small_pool):
         a = probe(tiny_backbone, small_pool, [7, 8, 9])
         b = probe(tiny_backbone, small_pool, [7, 8, 9])
         assert a.pool_revision == b.pool_revision
-        for ea, eb in zip(a.entries, b.entries):
-            assert ea.adapter_id == eb.adapter_id
-            assert ea.score == eb.score
-            assert np.array_equal(ea.output, eb.output)
+        assert a.adapter_ids == b.adapter_ids
+        assert np.array_equal(a.score_vector, b.score_vector)
+        assert np.array_equal(a.outputs, b.outputs)
 
     def test_default_target_is_last_block(self, tiny_backbone, small_pool, tiny_config):
         report = probe(tiny_backbone, small_pool, [1])
@@ -186,25 +193,23 @@ class TestProbe:
             policy: probe(tiny_backbone, small_pool, [1, 2, 3, 4], SignalConfig(token_policy=policy))
             for policy in ("first", "last", "mean")
         }
-        first = reports["first"].entries[0].output
-        last = reports["last"].entries[0].output
+        first = reports["first"].outputs[0]
+        last = reports["last"].outputs[0]
         assert not np.array_equal(first, last)
 
     def test_scale_monotonicity_via_captured_output(self, tiny_backbone, small_pool):
         # Doubling alpha doubles the captured delta, hence the norm score,
         # when scored against the same captured h.
         report = probe(tiny_backbone, small_pool, [2, 3, 4])
-        for entry in report.entries:
-            assert score_norm(2.0 * entry.output) == 2.0 * entry.score
+        assert np.array_equal(score_rows(2.0 * report.outputs, "norm"), 2.0 * report.score_vector)
 
     def test_ranks_stable_under_uniform_scaling(self, tiny_backbone, small_pool):
         report = probe(tiny_backbone, small_pool, [2, 3, 4])
-        base = sorted(report.entries, key=lambda e: (-e.score, e.adapter_id))
-        scaled = sorted(
-            report.entries,
-            key=lambda e: (-score_norm(3.0 * e.output), e.adapter_id),
-        )
-        assert [e.adapter_id for e in base] == [e.adapter_id for e in scaled]
+        ids = report.adapter_ids
+        scaled = score_rows(3.0 * report.outputs, "norm")
+        base = sorted(range(len(ids)), key=lambda i: (-report.score_vector[i], ids[i]))
+        rescored = sorted(range(len(ids)), key=lambda i: (-scaled[i], ids[i]))
+        assert base == rescored
 
 
 class TestStackedProbeMatchesReference:
@@ -213,12 +218,11 @@ class TestStackedProbeMatchesReference:
         tokens = [5, 9, 2, 33, 7]
         report = probe(backbone, pool, tokens, signal)
         want = reference_outputs(backbone, pool.snapshot()[1], tokens, signal)
-        score = {"norm": score_norm, "inverse_entropy": score_inverse_entropy}[signal.scoring]
-        assert [e.adapter_id for e in report.entries] == sorted(want)
-        for entry in report.entries:
-            ref = want[entry.adapter_id]
-            np.testing.assert_allclose(entry.output, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-            assert entry.score == pytest.approx(score(ref), rel=1e-12, abs=0)
+        assert list(report.adapter_ids) == sorted(want)
+        for adapter_id, output, score in zip(report.adapter_ids, report.outputs, report.score_vector):
+            ref = want[adapter_id]
+            np.testing.assert_allclose(output, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+            assert score == pytest.approx(score_rows(ref, signal.scoring), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("policy", ["first", "last", "mean"])
     @pytest.mark.parametrize("scoring", ["norm", "inverse_entropy"])

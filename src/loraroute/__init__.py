@@ -13,6 +13,7 @@ from .adapters import (
     adapter_from_bytes,
     adapter_to_bytes,
     delta_apply,
+    fused_hooks,
     load_adapter,
     load_manifest,
     save_adapter,
@@ -56,7 +57,6 @@ from .routing import (
     SelectedAdapter,
     decision_record,
     fuse_parameters,
-    fused_hooks,
     mixture_hooks,
     normalize_weights,
     select_topk,

@@ -7,18 +7,22 @@ projection is ``alpha * A @ B`` (``A`` is ``d_model x rank``, ``B`` is
 which is also all the ``LGAD`` file format holds; which task it serves is
 recorded by the harness's tasks file, not here.
 
-Inference attaches several adapters at once through one representation:
-:func:`stack_factors` concatenates their factors at one (block, site) along
-the rank, with each adapter's scale folded into its columns of ``A``, so the
-summed delta is one right-to-left product ``A @ (B @ h)`` whose cost stays
-linear in the total rank.  The probe applies it so, stacking each site's
-factors when its pass reaches that site; the merge stacks once per request
-and multiplies the factors out.  :func:`delta_apply` is the one-adapter
-reference that tests compare the stacked path against.
+Inference attaches several adapters at once as one dense operator per
+(block, site): :func:`dense_operator` sums ``scale_i * A_i @ B_i`` over the
+adapters, stacking at most :data:`STACK_CHUNK` of them at a time with
+:func:`stack_chunks` (their factors concatenated along the rank, each
+adapter's scale folded into its columns of ``A``), so no array it makes grows
+with the number of adapters.  :func:`fused_hooks` applies such operators as
+``h @ W.T``.  The merge builds one per site from the selected adapters at
+their merge weights; the probe attaches the pool's own operators, which the
+pool keeps for its current revision (:meth:`AdapterPool.operator`).
+:func:`delta_apply` is the one-adapter reference that tests compare the
+stacked and dense paths against.
 
 The pool is a mutable registry keyed by adapter id.  Every successful add or
-remove bumps an integer ``revision``; readers take an atomic snapshot so a
-probe sees one consistent pool state even while another thread edits it.
+remove bumps an integer ``revision`` and drops the pool's operators; readers
+take an atomic snapshot so a probe sees one consistent pool state even while
+another thread edits it.
 """
 from __future__ import annotations
 
@@ -26,11 +30,11 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .backbone import HOOK_SITES, ModelConfig
+from .backbone import HOOK_SITES, ModelConfig, ProjectionHook
 from .errors import (
     DuplicateAdapterError,
     FormatError,
@@ -46,6 +50,11 @@ ADAPTER_VERSION = 1
 #: Factor-order flag written to adapter files: 0 means the input is hit by
 #: ``B`` first and leaves through ``A`` (delta = alpha * A @ B @ h).
 FACTOR_ORDER_AB = 0
+
+#: Most adapters whose factors are stacked at once.  Chunks bound the
+#: transient stack by this count instead of the pool size, and stacks this
+#: small are also faster to concatenate and multiply than one pool-wide stack.
+STACK_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -151,12 +160,17 @@ class AdapterPool:
     :meth:`snapshot` to get a ``(revision, adapters)`` pair that stays
     consistent regardless of concurrent edits.  Snapshots list adapters in
     ascending id order.
+
+    The pool also keeps the dense operators :meth:`operator` built at the
+    current revision, at most one ``(d_model, d_model)`` matrix per (block,
+    site); every edit drops them.
     """
 
     def __init__(self, config: ModelConfig) -> None:
         self.config = config
         self._entries: dict[str, LoraAdapter] = {}
         self._revision = 0
+        self._operators: dict[tuple[int, str], Array] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -185,6 +199,7 @@ class AdapterPool:
                 raise DuplicateAdapterError(f"adapter id {adapter.id!r} already in pool")
             self._entries[adapter.id] = adapter
             self._revision += 1
+            self._operators.clear()
             return self._revision
 
     def remove(self, adapter_id: str) -> int:
@@ -194,6 +209,7 @@ class AdapterPool:
                 raise UnknownAdapterError(f"adapter id {adapter_id!r} not in pool")
             del self._entries[adapter_id]
             self._revision += 1
+            self._operators.clear()
             return self._revision
 
     def get(self, adapter_id: str) -> LoraAdapter:
@@ -212,26 +228,84 @@ class AdapterPool:
         with self._lock:
             return sorted(self._entries)
 
+    def operator(
+        self, snapshot: tuple[int, tuple[LoraAdapter, ...]], block: int, site: str
+    ) -> Array:
+        """The read-only pool operator ``sum_i alpha_i * A_i @ B_i`` at (block, site).
 
-def stack_factors(
+        ``snapshot`` is a ``(revision, adapters)`` pair from :meth:`snapshot`,
+        and the operator is that snapshot's.  It is built on first use and
+        kept while the pool stays at that revision; a build for a revision
+        the pool has since left is returned to the caller but not kept.
+        """
+        revision, adapters = snapshot
+        key = (block, site)
+        with self._lock:
+            if revision == self._revision and key in self._operators:
+                return self._operators[key]
+        w = dense_operator(adapters, [a.alpha for a in adapters], block, site)
+        w.flags.writeable = False
+        with self._lock:
+            if revision == self._revision:
+                self._operators[key] = w
+        return w
+
+
+def stack_chunks(
     adapters: Sequence[LoraAdapter],
     scales: Sequence[float],
     block: int,
     site: str,
-) -> tuple[Array, Array]:
-    """Factors of ``adapters`` at one (block, site), concatenated along the rank.
+) -> Iterator[tuple[slice, Array, Array]]:
+    """Factors of ``adapters`` at one (block, site), stacked a chunk at a time.
 
-    Returns ``A`` of shape ``(d_model, R)`` with adapter ``i``'s columns
-    multiplied by ``scales[i]``, and ``B`` of shape ``(R, d_model)``, where
-    ``R`` is the sum of the adapters' ranks (which may differ).  Adapter
-    ``i`` owns the ``i``-th run of ``rank_i`` columns of ``A`` and rows of
-    ``B``, so ``A @ (B @ h) == sum_i scales[i] * A_i @ B_i @ h``.
+    Yields ``(chunk, A, B)`` for each run of at most :data:`STACK_CHUNK`
+    adapters, ``chunk`` being the slice of ``adapters`` it covers.  ``A`` is
+    ``(d_model, R)`` with adapter ``i``'s columns multiplied by
+    ``scales[i]`` and ``B`` is ``(R, d_model)``, where ``R`` is the sum of
+    the chunk's ranks (which may differ).  Adapter ``i`` owns the ``i``-th
+    run of ``rank_i`` columns of ``A`` and rows of ``B``, so
+    ``A @ (B @ h) == sum_i scales[i] * A_i @ B_i @ h`` over the chunk.
     """
-    facs = [adapter.factors[(block, site)] for adapter in adapters]
-    col_scales = np.repeat(np.asarray(scales, dtype=np.float64), [f.a.shape[1] for f in facs])
-    a = np.concatenate([f.a for f in facs], axis=1) * col_scales
-    b = np.concatenate([f.b for f in facs], axis=0)
-    return a, b
+    for lo in range(0, len(adapters), STACK_CHUNK):
+        chunk = slice(lo, lo + STACK_CHUNK)
+        facs = [adapter.factors[(block, site)] for adapter in adapters[chunk]]
+        col_scales = np.repeat(np.asarray(scales[chunk], dtype=np.float64), [f.a.shape[1] for f in facs])
+        a = np.concatenate([f.a for f in facs], axis=1) * col_scales
+        b = np.concatenate([f.b for f in facs], axis=0)
+        yield chunk, a, b
+
+
+def dense_operator(
+    adapters: Sequence[LoraAdapter],
+    scales: Sequence[float],
+    block: int,
+    site: str,
+) -> Array:
+    """``sum_i scales[i] * A_i @ B_i`` at one (block, site), ``(d_model, d_model)``.
+
+    Each chunk of :func:`stack_chunks` adds one product; the first is
+    assigned, so with one chunk the result is that chunk's product exactly.
+    ``adapters`` must not be empty.
+    """
+    w = None
+    for _, a, b in stack_chunks(adapters, scales, block, site):
+        if w is None:
+            w = a @ b
+        else:
+            w += a @ b
+    return w
+
+
+def fused_hooks(deltas: Mapping[tuple[int, str], Array]) -> list[ProjectionHook]:
+    """Hooks applying a dense fused update: ``delta = h @ W.T`` per site."""
+    hooks = []
+    for (block, site), w in sorted(deltas.items()):
+        def fn(block_: int, site_: str, h: Array, base: Array, _w: Array = w) -> Array:
+            return h @ _w.T
+
+        hooks.append(ProjectionHook(block, site, fn))
+    return hooks
 
 
 # -- serialization ---------------------------------------------------------------

@@ -9,7 +9,10 @@ output of the Q or V projection of a chosen block.
 
 Every pass runs one block loop over a run of positions: a full forward
 runs the whole sequence with no cache; greedy decoding runs the prompt (the
-prefill) and then each emitted token against a key/value cache.
+prefill) and then each emitted token against a key/value cache; and
+:meth:`Backbone.block_input` runs the sequence only as far as one block's
+first layernorm, returning the input that block's Q/K/V projections see (the
+probe reads nothing later).
 
 A backbone serializes to a single binary file (magic ``LGBK``) that
 round-trips bitwise, and exposes ``forward_count`` so callers can assert how
@@ -249,19 +252,38 @@ class Backbone:
         self.forward_count += 1
         return self._run(ids, 0, grouped, cache=None)
 
+    def block_input(
+        self, tokens: Sequence[int], block: int, hooks: Iterable[ProjectionHook] = ()
+    ) -> Array:
+        """The ``(T, d_model)`` input to ``block``'s projections in a full pass.
+
+        Runs the forward pass only up to that block's first layernorm, so a
+        hook at ``block`` or later is never called.  It counts as one pass.
+        """
+        ids = self._validate_tokens(tokens)
+        if not isinstance(block, int) or not 0 <= block < self.config.n_blocks:
+            raise ValidationError(
+                f"block must be in [0, {self.config.n_blocks}), got {block!r}"
+            )
+        grouped = self._group_hooks(hooks)
+        self.forward_count += 1
+        return self._run(ids, 0, grouped, cache=None, stop=block)
+
     def _run(
         self,
         ids: np.ndarray,
         start: int,
         grouped: dict[tuple[int, str], list[HookFn]],
         cache: _KVCache | None,
-    ) -> HiddenTrace:
+        stop: int | None = None,
+    ) -> HiddenTrace | Array:
         """Run ``ids`` at positions ``start .. start+T`` through every block.
 
         With a cache, each block writes its keys and values there and attends
         over every position cached so far; without one (``start`` must be 0)
         it attends over ``ids`` alone.  A single token sees every earlier
-        position, so the causal mask is only built when more run.
+        position, so the causal mask is only built when more run.  With
+        ``stop``, the loop returns block ``stop``'s first layernorm output.
         """
         cfg = self.config
         t = ids.size
@@ -272,6 +294,8 @@ class Backbone:
 
         for j, blk in enumerate(self.blocks):
             u = _layer_norm(x, blk.ln1_g, blk.ln1_b)
+            if j == stop:
+                return u
             q = self._apply_hooks(grouped, j, "Q", u, u @ blk.wq.T)
             k = u @ blk.wk.T
             v = self._apply_hooks(grouped, j, "V", u, u @ blk.wv.T)

@@ -15,6 +15,7 @@ different calibration file, which must supply every key the default file has.
 from __future__ import annotations
 
 import json
+import math
 import os
 from importlib import resources
 
@@ -40,14 +41,29 @@ def default_thresholds_text() -> str:
     return resources.files("loraroute.data").joinpath("thresholds.json").read_text("utf-8")
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number out of range for a double: {text[:32]}")
+    return value
+
+
+def _constant(name: str) -> float:
+    if name == "NaN":
+        raise ValueError("NaN is not a threshold")
+    return float(name)
+
+
 def load_thresholds(path: str | None = None) -> dict[str, float]:
     """Load thresholds from ``path``, ``$LOGO_THRESHOLDS``, or the committed file.
 
     Precedence: explicit argument, then the environment variable, then the
     file shipped inside the package.  The result holds exactly
     :data:`REQUIRED_KEYS`; other keys in the file are ignored.  A file that
-    is not UTF-8 JSON, missing keys or non-numeric values are a
-    :class:`~loraroute.errors.ValidationError`.
+    is not UTF-8 JSON, holds ``NaN`` or a number too large for a double, or
+    misses a key or gives it a non-numeric value is a
+    :class:`~loraroute.errors.ValidationError`.  ``Infinity`` and
+    ``-Infinity`` are accepted, as an explicit "no bound".
     """
     source = path or os.environ.get(THRESHOLDS_ENV_VAR)
     try:
@@ -56,8 +72,10 @@ def load_thresholds(path: str | None = None) -> dict[str, float]:
                 text = fh.read()
         else:
             text = default_thresholds_text()
-        record = json.loads(text)
-    except ValueError as exc:  # undecodable bytes or malformed JSON
+        record = json.loads(
+            text, parse_int=_finite_number, parse_float=_finite_number, parse_constant=_constant
+        )
+    except ValueError as exc:  # undecodable bytes, malformed JSON or a number no double holds
         raise ValidationError(f"malformed thresholds file: {exc}") from exc
     if not isinstance(record, dict):
         raise ValidationError("thresholds file must hold a JSON object")

@@ -10,12 +10,14 @@ The merge keeps the selected adapters and rescales each one's effective
 alpha to ``w_i * alpha_i``; unselected adapters are dropped.  By linearity
 that is the dense update ``sum_i w_i * alpha_i * A_i @ B_i`` per (block,
 site), so there is one merge and one way to build it, once per request:
-:func:`fuse_parameters` takes one product of the selected adapters' stacked
-factors (:func:`stack_factors`) per site, :func:`fused_hooks` applies each
-as a dense matrix, and :func:`mixture_hooks` (what the engine calls) is the
-two composed.  Applying the stacked factors low-rank instead only pays off
-for wide models; at the widths of this package's models (``d_model`` 32 and
-64) one dense product per token is cheaper than two thin ones.  Tests pin
+:func:`fuse_parameters` builds each site's matrix with the same chunked
+builder as the pool's probe operators
+(:func:`~loraroute.adapters.dense_operator`, one chunk for any k up to
+:data:`~loraroute.adapters.STACK_CHUNK`), :func:`fused_hooks` applies each as
+a dense matrix, and :func:`mixture_hooks` (what the engine calls) is the two
+composed.  Applying the stacked factors low-rank instead only pays off for
+wide models; at the widths of this package's models (``d_model`` 32 and 64)
+one dense product per token is cheaper than two thin ones.  Tests pin
 the merged operator to the sum of the adapters' own :func:`delta_apply`
 deltas, and decoding under it to a per-adapter reference.
 
@@ -29,11 +31,11 @@ nothing reads decisions back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .adapters import AdapterPool, LoraAdapter, stack_factors
+from .adapters import AdapterPool, LoraAdapter, dense_operator, fused_hooks
 from .backbone import HOOK_SITES, ProjectionHook
 from .errors import StaleDecisionError, ValidationError
 from .signals import SignalReport
@@ -146,20 +148,8 @@ def fuse_parameters(
     deltas: dict[tuple[int, str], Array] = {}
     for j in range(pool.config.n_blocks if adapters else 0):  # none: bare model
         for site in HOOK_SITES:
-            a, b = stack_factors(adapters, scales, j, site)
-            deltas[(j, site)] = a @ b
+            deltas[(j, site)] = dense_operator(adapters, scales, j, site)
     return deltas
-
-
-def fused_hooks(deltas: Mapping[tuple[int, str], Array]) -> list[ProjectionHook]:
-    """Hooks applying a dense fused update: ``delta = h @ W.T`` per site."""
-    hooks = []
-    for (block, site), w in sorted(deltas.items()):
-        def fn(block_: int, site_: str, h: Array, base: Array, _w: Array = w) -> Array:
-            return h @ _w.T
-
-        hooks.append(ProjectionHook(block, site, fn))
-    return hooks
 
 
 # -- decision serialization ------------------------------------------------------

@@ -1,18 +1,20 @@
 """Per-adapter routing signals read from a single probe pass.
 
 The probe attaches every pool adapter to the backbone at its own alpha and
-runs exactly one forward pass over the input tokens.  A zero-returning spy
-at the Q projection of one chosen block captures that projection's input
-``h``, produced with *all* adapters attached at every block before it (no
-later block can reach ``h``).  The attachment is one closure per pass that
-stacks a site's factors (:func:`~loraroute.adapters.stack_factors`) when
-that site is reached, so a pool-wide stack exists for one site at a time.
+runs exactly one pass over the input tokens, as far as the input ``h`` to the
+Q projection of one chosen block: that input is produced with *all* adapters
+attached at every block before it, and nothing later can reach it.  Attached,
+the pool is one dense operator per (block, site) before the target
+(:meth:`~loraroute.adapters.AdapterPool.operator`), built on the first probe
+at a pool revision, so later passes cost the same whatever the pool size.
 A token policy (first / last / mean) collapses the per-token rows of ``h``
 to one vector, and by linearity each adapter ``i``'s contribution to the Q
 projection is ``o_i = alpha_i * A_i @ B_i @ h`` on that vector, split out of
-one product over the stacked factors of the whole pool.  :func:`score_rows`,
-the one scorer, turns each ``o_i`` into a scalar, for the whole pool in one
-row-wise pass:
+one product over the stacked factors of each chunk of adapters
+(:func:`~loraroute.adapters.stack_chunks`); nothing the probe holds grows
+with the pool but its ``(N, d)`` result.  :func:`score_rows`, the one
+scorer, turns each ``o_i`` into a scalar, for the whole pool in one row-wise
+pass:
 
 * ``norm`` — the Euclidean norm of ``o_i``; bigger response, bigger score.
 * ``inverse_entropy`` — softmax ``o_i`` and score ``1 / H``; the more peaked
@@ -31,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import AdapterPool, stack_factors
-from .backbone import HOOK_SITES, Backbone, ProjectionHook
+from .adapters import AdapterPool, fused_hooks, stack_chunks
+from .backbone import HOOK_SITES, Backbone
 from .errors import EmptyPoolError, ValidationError
 from .numcore import l2_norm, shannon_entropy, softmax
 
@@ -137,33 +139,27 @@ def probe(
     All adapters are attached at their own alpha, at every block before the
     captured one, so the hidden states feeding the captured block reflect the
     fully loaded model.  The pool is snapshotted first: the report is pinned
-    to one revision no matter what happens to the pool afterwards.
+    to one revision, and attaches that revision's operators, no matter what
+    happens to the pool afterwards.
     """
-    revision, adapters = pool.snapshot()
+    snapshot = pool.snapshot()
+    revision, adapters = snapshot
     if not adapters:
         raise EmptyPoolError("probe requires at least one adapter in the pool")
     target = config.resolve_block(backbone.config.n_blocks)
 
-    scales = [ad.alpha for ad in adapters]
-    captured: list[Array] = []
-
-    def attach(block: int, site: str, h: Array, base: Array) -> Array:
-        a, b = stack_factors(adapters, scales, block, site)
-        return (h @ b.T) @ a.T
-
-    def spy(block: int, site: str, h: Array, base: Array) -> Array:
-        captured.append(h)
-        return np.zeros_like(base)
-
     # The input to (target, Q) depends only on earlier blocks: attach there.
-    hooks = [ProjectionHook(j, site, attach) for j in range(target) for site in HOOK_SITES]
-    backbone.forward(tokens, hooks + [ProjectionHook(target, PROBE_SITE, spy)])
-    pooled = mean_pool_token(captured[0], config.token_policy)
+    hooks = fused_hooks(
+        {(j, site): pool.operator(snapshot, j, site) for j in range(target) for site in HOOK_SITES}
+    )
+    pooled = mean_pool_token(backbone.block_input(tokens, target, hooks), config.token_policy)
 
-    a, b = stack_factors(adapters, scales, target, PROBE_SITE)
-    starts = np.cumsum([0] + [ad.rank for ad in adapters[:-1]])
-    # Column run i of ``a * (b @ pooled)`` summed is alpha_i * A_i @ B_i @ pooled.
-    outputs = np.add.reduceat(a * (b @ pooled), starts, axis=1).T
+    outputs = np.empty((len(adapters), backbone.config.d_model))
+    scales = [ad.alpha for ad in adapters]
+    for chunk, a, b in stack_chunks(adapters, scales, target, PROBE_SITE):
+        starts = np.cumsum([0] + [ad.rank for ad in adapters[chunk][:-1]])
+        # Column run i of ``a * (b @ pooled)`` summed is alpha_i * A_i @ B_i @ pooled.
+        outputs[chunk] = np.add.reduceat(a * (b @ pooled), starts, axis=1).T
     return SignalReport(
         pool_revision=revision,
         target_block=target,

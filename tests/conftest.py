@@ -13,6 +13,7 @@ from loraroute import (
     delta_apply,
     init_backbone,
 )
+from loraroute.adapters import STACK_CHUNK
 
 
 @pytest.fixture
@@ -55,6 +56,19 @@ def make_mixed_pool(config):
     pool = AdapterPool(config)
     for rank, alpha in ((1, 0.7), (3, 1.9), (8, 3.25)):
         pool.add(make_adapter(config, f"r{rank}", seed=rank, rank=rank, alpha=alpha))
+    return pool
+
+
+def make_chunked_pool(config):
+    """Pool spanning several stacking chunks: ``2 * STACK_CHUNK + 5`` adapters
+    (a count no chunk divides) of ranks 1 to 8 at alphas other than one."""
+    pool = AdapterPool(config)
+    for i in range(2 * STACK_CHUNK + 5):
+        pool.add(
+            make_adapter(
+                config, f"c{i:03d}", seed=100 + i, rank=1 + i % 8, alpha=0.6 + 0.35 * (i % 5), scale=0.03
+            )
+        )
     return pool
 
 

@@ -22,7 +22,7 @@ from loraroute import (
     save_adapter,
     write_manifest,
 )
-from loraroute.adapters import ADAPTER_MAGIC
+from loraroute.adapters import ADAPTER_MAGIC, dense_operator
 
 from conftest import byte_mutations, make_adapter, make_pool
 
@@ -204,6 +204,32 @@ class TestPool:
             t.join()
         assert len(pool) == 32
         assert pool.revision == 32
+
+
+class TestPoolOperator:
+    def test_sum_of_alpha_scaled_products(self, tiny_config):
+        pool = make_pool(tiny_config, 3, alpha=1.7)
+        got = pool.operator(pool.snapshot(), 1, "V")
+        want = sum(a.alpha * a.factors[(1, "V")].a @ a.factors[(1, "V")].b for a in pool.snapshot()[1])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_kept_read_only_until_an_edit(self, tiny_config):
+        pool = make_pool(tiny_config, 3)
+        w = pool.operator(pool.snapshot(), 0, "Q")
+        assert pool.operator(pool.snapshot(), 0, "Q") is w
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+        pool.remove("ad00")
+        assert pool.operator(pool.snapshot(), 0, "Q") is not w
+
+    def test_build_for_a_left_revision_is_returned_not_kept(self, tiny_config):
+        pool = make_pool(tiny_config, 3)
+        old = pool.snapshot()
+        pool.add(make_adapter(tiny_config, "late", seed=9))
+        got = pool.operator(old, 0, "Q")
+        assert np.array_equal(got, dense_operator(old[1], [a.alpha for a in old[1]], 0, "Q"))
+        assert pool._operators == {}
+        assert not np.array_equal(pool.operator(pool.snapshot(), 0, "Q"), got)
 
 
 class TestSerialization:

@@ -21,7 +21,7 @@ from loraroute import (
 )
 from loraroute.backbone import BACKBONE_MAGIC
 
-from conftest import byte_mutations, make_mixed_pool
+from conftest import byte_mutations, delta_apply_hooks, make_mixed_pool
 
 
 class TestModelConfig:
@@ -120,6 +120,41 @@ class TestForward:
         tiny_backbone.forward([1, 2, 3])
         tiny_backbone.generate([1, 2], max_new=4)
         assert tiny_backbone.content_hash() == h0
+
+
+class TestBlockInput:
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_equals_q_input_of_full_forward(self, tiny_backbone, tiny_config, block):
+        adapters = make_mixed_pool(tiny_config).snapshot()[1]
+        hooks = delta_apply_hooks(tiny_config.n_blocks, [(a, a.alpha) for a in adapters])
+        seen = []
+
+        def spy(b, s, h, base):
+            seen.append(h)
+            return np.zeros_like(base)
+
+        tokens = [5, 9, 2, 33, 7]
+        tiny_backbone.forward(tokens, hooks + [ProjectionHook(block, "Q", spy)])
+        assert np.array_equal(tiny_backbone.block_input(tokens, block, hooks), seen[0])
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_one_pass_and_no_hook_at_or_after_block(self, tiny_backbone, tiny_config, block):
+        called = []
+
+        def spy(b, s, h, base):
+            called.append((b, s))
+            return np.zeros_like(base)
+
+        hooks = [ProjectionHook(j, s, spy) for j in range(tiny_config.n_blocks) for s in ("Q", "V")]
+        before = tiny_backbone.forward_count
+        tiny_backbone.block_input([1, 2, 3], block, hooks)
+        assert tiny_backbone.forward_count == before + 1
+        assert called == [(j, s) for j in range(block) for s in ("Q", "V")]
+
+    @pytest.mark.parametrize("block", [-1, 2, 1.0])
+    def test_block_out_of_range_rejected(self, tiny_backbone, block):
+        with pytest.raises(ValidationError):
+            tiny_backbone.block_input([1, 2], block)
 
 
 class TestHooks:

@@ -14,7 +14,7 @@ from loraroute import (
 )
 from loraroute.cli import main
 from loraroute.harness import load_tasks
-from loraroute.harness.thresholds import THRESHOLDS_ENV_VAR
+from loraroute.harness.thresholds import REQUIRED_KEYS, THRESHOLDS_ENV_VAR
 
 from conftest import read_report
 
@@ -546,6 +546,17 @@ class TestParser:
     ):
         bad = tmp_path / "thresholds.json"
         bad.write_bytes(b"\xff")
+        monkeypatch.setenv(THRESHOLDS_ENV_VAR, str(bad))
+        argv = self.counts_argv(workspace, tmp_path, workspace.tasks_file)
+        self.assert_one_error_line(argv, capsys, 2, "error: validation: malformed thresholds file")
+        assert not (tmp_path / "counts.csv").exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "9" * 401], ids=["nan", "401-digits"])
+    def test_unrepresentable_threshold_is_validation_error(
+        self, workspace, tmp_path, capsys, monkeypatch, value
+    ):
+        bad = tmp_path / "thresholds.json"
+        bad.write_text(json.dumps(dict.fromkeys(REQUIRED_KEYS, 0.5)).replace("0.5", value, 1))
         monkeypatch.setenv(THRESHOLDS_ENV_VAR, str(bad))
         argv = self.counts_argv(workspace, tmp_path, workspace.tasks_file)
         self.assert_one_error_line(argv, capsys, 2, "error: validation: malformed thresholds file")

@@ -746,9 +746,18 @@ class TestThresholds:
         with pytest.raises(ValidationError):
             load_thresholds(str(path))
 
+    def test_infinity_is_no_bound(self, tmp_path):
+        path = tmp_path / "open.json"
+        record = dict.fromkeys(REQUIRED_KEYS, 0.5)
+        path.write_text(json.dumps(record).replace("0.5", "Infinity", 1).replace("0.5", "-Infinity", 1))
+        values = list(load_thresholds(str(path)).values())
+        assert values[:3] == [float("inf"), float("-inf"), 0.5]
+
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        for raw in (b"[1, 2", b"\xff"):
+        nan = json.dumps(dict.fromkeys(REQUIRED_KEYS, 0.5)).replace("0.5", "NaN", 1)
+        huge = json.dumps(dict.fromkeys(REQUIRED_KEYS, 0.5)).replace("0.5", "9" * 401, 1)
+        for raw in (b"[1, 2", b"\xff", nan.encode(), huge.encode()):
             path.write_bytes(raw)
             with pytest.raises(ValidationError, match="malformed thresholds file"):
                 load_thresholds(str(path))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import loraroute.routing as routing
+import loraroute.adapters as adapters_module
 from loraroute import (
     SignalReport,
     StaleDecisionError,
@@ -17,7 +17,7 @@ from loraroute import (
     select_topk,
 )
 
-from conftest import make_adapter, make_mixed_pool, make_pool
+from conftest import make_adapter, make_chunked_pool, make_mixed_pool, make_pool
 
 
 def report_from_scores(scores, revision=1, scoring="norm"):
@@ -192,22 +192,23 @@ class TestMerging:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_mixed_rank_merges_match_delta_apply(self, tiny_config, tiny_backbone):
-        pool = make_mixed_pool(tiny_config)
-        decision = select_topk(probe(tiny_backbone, pool, [4, 8, 15, 16]), 3)
-        fused = fuse_parameters(pool, decision)
-        hooks = mixture_hooks(pool, decision)
-        assert len(hooks) == 2 * tiny_config.n_blocks
-        h = np.random.default_rng(6).normal(size=(5, tiny_config.d_model))
-        for hook in hooks:
-            want = sum(
-                delta_apply(pool.get(i), hook.block, hook.site, h, alpha_override=w * pool.get(i).alpha)
-                for i, w in decision.weights().items()
-            )
-            tol = 1e-12 * np.abs(want).max()
-            got = hook.fn(hook.block, hook.site, h, np.zeros_like(h))
-            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
-            dense = h @ fused[(hook.block, hook.site)].T
-            np.testing.assert_allclose(dense, want, rtol=0, atol=tol)
+        # The second pool spans several stacking chunks and every adapter is selected.
+        for pool, k in ((make_mixed_pool(tiny_config), 3), (make_chunked_pool(tiny_config), 10**6)):
+            decision = select_topk(probe(tiny_backbone, pool, [4, 8, 15, 16]), k)
+            fused = fuse_parameters(pool, decision)
+            hooks = mixture_hooks(pool, decision)
+            assert len(hooks) == 2 * tiny_config.n_blocks
+            h = np.random.default_rng(6).normal(size=(5, tiny_config.d_model))
+            for hook in hooks:
+                want = sum(
+                    delta_apply(pool.get(i), hook.block, hook.site, h, alpha_override=w * pool.get(i).alpha)
+                    for i, w in decision.weights().items()
+                )
+                tol = 1e-12 * np.abs(want).max()
+                got = hook.fn(hook.block, hook.site, h, np.zeros_like(h))
+                np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+                dense = h @ fused[(hook.block, hook.site)].T
+                np.testing.assert_allclose(dense, want, rtol=0, atol=tol)
 
     def test_empty_decision_merges_to_bare_model(self, tiny_config):
         pool = make_pool(tiny_config, 3)
@@ -225,8 +226,8 @@ class TestMerging:
             stacks.append(args)
             return original(*args)
 
-        original = routing.stack_factors
-        monkeypatch.setattr(routing, "stack_factors", counted)
+        original = adapters_module.stack_chunks
+        monkeypatch.setattr(adapters_module, "stack_chunks", counted)
         hooks = mixture_hooks(small_pool, decision)
         assert len(stacks) == 2 * tiny_config.n_blocks
         stacks.clear()

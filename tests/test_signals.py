@@ -1,7 +1,12 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
+
+import loraroute.adapters as adapters_module
 
 from loraroute import (
     AdapterPool,
@@ -18,7 +23,7 @@ from loraroute import (
 )
 from loraroute.signals import ENTROPY_FLOOR
 
-from conftest import make_adapter, make_mixed_pool, make_pool
+from conftest import make_adapter, make_chunked_pool, make_mixed_pool, make_pool
 
 
 def reference_outputs(backbone, adapters, tokens, config):
@@ -213,8 +218,8 @@ class TestProbe:
 
 
 class TestStackedProbeMatchesReference:
-    def check_against_reference(self, backbone, config, signal):
-        pool = make_mixed_pool(config)
+    def check_against_reference(self, backbone, config, signal, pool=None):
+        pool = pool or make_mixed_pool(config)
         tokens = [5, 9, 2, 33, 7]
         report = probe(backbone, pool, tokens, signal)
         want = reference_outputs(backbone, pool.snapshot()[1], tokens, signal)
@@ -238,6 +243,137 @@ class TestStackedProbeMatchesReference:
     def test_every_target_block(self, tiny_backbone, tiny_config, policy, scoring, target_block):
         config = SignalConfig(target_block=target_block, token_policy=policy, scoring=scoring)
         self.check_against_reference(tiny_backbone, tiny_config, config)
+
+    @pytest.mark.parametrize("scoring", ["norm", "inverse_entropy"])
+    @pytest.mark.parametrize("target_block", [0, 1])
+    def test_pool_spanning_several_chunks(self, tiny_backbone, tiny_config, scoring, target_block):
+        config = SignalConfig(target_block=target_block, token_policy="mean", scoring=scoring)
+        self.check_against_reference(tiny_backbone, tiny_config, config, make_chunked_pool(tiny_config))
+
+
+class TestPoolOperators:
+    """The probe attaches the pool's per-revision operators and stops at the
+    target's Q input."""
+
+    @pytest.mark.parametrize("target_block", [0, 1])
+    def test_one_forward_pass_at_every_target_block(self, tiny_backbone, small_pool, target_block):
+        for _ in range(2):
+            before = tiny_backbone.forward_count
+            probe(tiny_backbone, small_pool, [1, 2, 3], SignalConfig(target_block=target_block))
+            assert tiny_backbone.forward_count == before + 1
+
+    def test_target_block_zero_attaches_nothing(self, monkeypatch, tiny_backbone, small_pool):
+        calls = []
+        original = tiny_backbone.block_input
+
+        def recorded(tokens, block, hooks=()):
+            calls.append(list(hooks))
+            return original(tokens, block, hooks)
+
+        monkeypatch.setattr(tiny_backbone, "block_input", recorded)
+        probe(tiny_backbone, small_pool, [1, 2, 3], SignalConfig(target_block=0))
+        assert calls == [[]]
+        assert small_pool._operators == {}
+
+    def test_two_probes_build_each_site_once(self, monkeypatch, tiny_backbone, small_pool):
+        built = []
+        original = adapters_module.dense_operator
+
+        def counted(adapters, scales, block, site):
+            built.append((block, site))
+            return original(adapters, scales, block, site)
+
+        monkeypatch.setattr(adapters_module, "dense_operator", counted)
+        first = probe(tiny_backbone, small_pool, [1, 2, 3])
+        second = probe(tiny_backbone, small_pool, [1, 2, 3])
+        assert sorted(built) == [(0, "Q"), (0, "V")]
+        assert np.array_equal(first.outputs, second.outputs)
+
+    def test_replaced_adapter_reports_like_a_fresh_pool(self, tiny_backbone, tiny_config):
+        pool = make_pool(tiny_config, 5)
+        probe(tiny_backbone, pool, [4, 5, 6])
+        pool.remove("ad02")
+        pool.add(make_adapter(tiny_config, "ad02", seed=77, rank=2, alpha=1.4))
+        fresh = AdapterPool(tiny_config)
+        for adapter in pool.snapshot()[1]:
+            fresh.add(adapter)
+        got = probe(tiny_backbone, pool, [4, 5, 6])
+        want = probe(tiny_backbone, fresh, [4, 5, 6])
+        assert got.adapter_ids == want.adapter_ids
+        assert np.array_equal(got.outputs, want.outputs)
+        assert np.array_equal(got.score_vector, want.score_vector)
+
+    def test_pool_keeps_only_site_operators(self, tiny_backbone, tiny_config):
+        pool = make_chunked_pool(tiny_config)
+        d, n_blocks = tiny_config.d_model, tiny_config.n_blocks
+        for target_block in range(n_blocks):
+            probe(tiny_backbone, pool, [1, 2, 3, 4], SignalConfig(target_block=target_block))
+            held = list(pool._operators.values())
+            assert len(held) <= 2 * n_blocks
+            assert all(w.shape == (d, d) and not w.flags.writeable for w in held)
+
+    def test_probes_racing_edits_match_serial_probes(self, monkeypatch, tiny_backbone, tiny_config):
+        original = adapters_module.dense_operator
+
+        def slow(*args):
+            # Widen the window in which an edit lands while a probe builds.
+            time.sleep(2e-4)
+            return original(*args)
+
+        monkeypatch.setattr(adapters_module, "dense_operator", slow)
+        pool = make_pool(tiny_config, 4)
+        variants = [make_adapter(tiny_config, "swap", seed=s, rank=r) for s, r in ((50, 2), (51, 5))]
+        pool.add(variants[0])
+        snapshots = dict([pool.snapshot()])  # revision -> adapters
+        tokens = [7, 3, 9, 1]
+        reports = []
+        done = threading.Event()
+
+        def edit():
+            i = 0
+            while not done.is_set():
+                pool.remove("swap")
+                snapshots.update([pool.snapshot()])
+                time.sleep(5e-4)
+                i += 1
+                pool.add(variants[i % 2])
+                snapshots.update([pool.snapshot()])
+                time.sleep(5e-4)
+
+        def read():
+            try:
+                for _ in range(200):
+                    reports.append(probe(tiny_backbone, pool, tokens))
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=edit), threading.Thread(target=read)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+
+        assert len(reports) == 200
+        assert len({r.pool_revision for r in reports}) > 1
+        serial = {}
+        for report in reports:
+            if report.pool_revision not in serial:
+                fresh = AdapterPool(tiny_config)
+                for adapter in snapshots[report.pool_revision]:
+                    fresh.add(adapter)
+                serial[report.pool_revision] = probe(tiny_backbone, fresh, tokens)
+            want = serial[report.pool_revision]
+            assert report.adapter_ids == want.adapter_ids
+            np.testing.assert_allclose(
+                report.outputs, want.outputs, rtol=0, atol=1e-12 * np.abs(want.outputs).max()
+            )
 
 
 class TestSignalConfig:

@@ -14,6 +14,12 @@ prefill) and then each emitted token against a key/value cache; and
 first layernorm, returning the input that block's Q/K/V projections see (the
 probe reads nothing later).
 
+On a one-token pass the loop's cost is mostly NumPy's Python-level
+wrappers, not arithmetic, so its layer norm and softmax call the ufunc
+reductions (``np.add.reduce``, ``np.maximum.reduce``) directly and centre
+once.  They are bitwise what NumPy's ``mean``/``var``/``max``/``sum`` give,
+which compute the same sums and divides; tests pin the two to each other.
+
 A backbone serializes to a single binary file (magic ``LGBK``) that
 round-trips bitwise, and exposes ``forward_count`` so callers can assert how
 many passes an operation really issued.
@@ -37,6 +43,7 @@ from .errors import (
     TokenRangeError,
     ValidationError,
 )
+from .numcore import softmax_last
 
 Array = np.ndarray
 
@@ -47,6 +54,7 @@ BACKBONE_VERSION = 1
 HOOK_SITES = ("Q", "V")
 
 _LN_EPS = 1e-5
+_SQRT2 = np.sqrt(2.0)
 
 #: Hook callback: ``fn(block, site, h, base) -> delta`` where ``h`` is the
 #: per-token input to the projection (rows of shape ``(T, d_model)``) and
@@ -171,6 +179,7 @@ class Backbone:
         self.ln_f_b = ln_f_b
         self.unembed = unembed
         self.forward_count = 0
+        self._score_divisor = np.sqrt(config.d_model // config.n_heads)
         self._freeze()
 
     # -- construction helpers -------------------------------------------------
@@ -285,10 +294,8 @@ class Backbone:
         position, so the causal mask is only built when more run.  With
         ``stop``, the loop returns block ``stop``'s first layernorm output.
         """
-        cfg = self.config
         t = ids.size
         end = start + t
-        dh = cfg.d_model // cfg.n_heads
         x = self.embed[ids] + self.pos[start:end]
         mask = np.triu(np.full((t, end), -np.inf), k=start + 1) if t > 1 else None
 
@@ -304,10 +311,10 @@ class Backbone:
                 cache.k[j, :, start:end] = kh
                 cache.v[j, :, start:end] = vh
                 kh, vh = cache.k[j, :, :end], cache.v[j, :, :end]
-            scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+            scores = qh @ kh.transpose(0, 2, 1) / self._score_divisor
             if mask is not None:
                 scores += mask
-            attn = _softmax_last(scores)
+            attn = softmax_last(scores)
             x = x + self._merge_heads(attn @ vh) @ blk.wo.T
             w = _layer_norm(x, blk.ln2_g, blk.ln2_b)
             x = x + _gelu(w @ blk.w1.T) @ blk.w2.T
@@ -395,19 +402,21 @@ class Backbone:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
 
+def _centre(x: Array) -> tuple[Array, Array]:
+    """``x`` minus its last-axis mean, and that axis's variance: bitwise
+    ``x.mean``/``x.var`` (keepdims), with the mean summed once, not twice."""
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    return xc, np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+
+
 def _layer_norm(x: Array, gamma: Array, beta: Array) -> Array:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + _LN_EPS) * gamma + beta
-
-
-def _softmax_last(x: Array) -> Array:
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    xc, var = _centre(x)
+    return xc / np.sqrt(var + _LN_EPS) * gamma + beta
 
 
 def _gelu(x: Array) -> Array:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return 0.5 * x * (1.0 + erf(x / _SQRT2))
 
 
 def init_backbone(config: ModelConfig, seed: int) -> Backbone:

@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..adapters import LoraAdapter, LoraFactors
-from ..backbone import HOOK_SITES, Backbone, _gelu, _LN_EPS, _softmax_last
+from ..backbone import HOOK_SITES, Backbone, _centre, _gelu, _LN_EPS
 from ..errors import TrainingDivergedError, ValidationError
+from ..numcore import softmax_last
 from .tasks import DEFAULT_PROMPT_LEN, SyntheticTask
 
 Array = np.ndarray
@@ -232,7 +233,7 @@ def loss_and_grads(
         v = u @ blk.wv.T + alpha * (u_bv @ av.T)
         qh, kh, vh = split(q), split(k), split(v)
         s = qh @ kh.swapaxes(-1, -2) * scale + mask
-        attn = _softmax_last(s)
+        attn = softmax_last(s)
         o = merge(attn @ vh) @ blk.wo.T
         x1 = x + o
         w_in, ln2c = _ln_fwd(x1, blk.ln2_g, blk.ln2_b)
@@ -300,18 +301,23 @@ def loss_and_grads(
 
 
 def _ln_fwd(x: Array, gamma: Array, beta: Array) -> tuple[Array, tuple[Array, Array]]:
-    mu = x.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
-    xhat = (x - mu) * inv_std
+    # Multiplies by the reciprocal where the backbone divides: an ulp apart,
+    # and the trained factors follow these exact bits, so only the centring
+    # and variance are shared.
+    xc, var = _centre(x)
+    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = xc * inv_std
     return xhat * gamma + beta, (xhat, inv_std)
+
 
 def _ln_bwd(dy: Array, cache: tuple[Array, Array], gamma: Array) -> Array:
     xhat, inv_std = cache
+    d = dy.shape[-1]
     dxhat = dy * gamma
     return inv_std * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
     )
 
 

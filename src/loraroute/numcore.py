@@ -1,12 +1,17 @@
 """Dense float64 kernels used throughout the package.
 
-Inputs are validated once at the boundary: each kernel takes one vector
-``(d,)`` or a block of rows ``(N, d)``, made C-contiguous and checked
-finite and non-empty.  The kernels reduce along the last axis, so a block is
-one pass and a row gives bitwise the same result alone as inside a block.
-Everything is plain numpy — no exotic numerics, just the few conventions
-that matter spelled out: softmax subtracts the max before exponentiating,
-and entropy treats ``0 * ln 0`` as zero.
+Inputs are validated once at the boundary: each kernel but
+:func:`softmax_last` takes one vector ``(d,)`` or a block of rows
+``(N, d)``, made C-contiguous and checked finite and non-empty.  The kernels
+reduce along the last axis, so a block is one pass and a row gives bitwise
+the same result alone as inside a block.  They call the ufunc reductions
+(``np.add.reduce``, ``np.maximum.reduce``) directly: bitwise ``np.sum`` and
+``np.max``, without their Python-level wrappers.  :func:`softmax_last` is
+the unvalidated softmax behind :func:`softmax`, shared with the backbone's
+attention and the trainer.  Everything is plain numpy — no exotic
+numerics, just the few conventions that matter spelled out: softmax
+subtracts the max before exponentiating, and entropy treats ``0 * ln 0`` as
+zero.
 """
 from __future__ import annotations
 
@@ -36,14 +41,19 @@ def _as_rows(data: Any) -> Array:
 def l2_norm(v: Array) -> Array:
     """Euclidean norm of ``v``, or of each of its rows."""
     v = _as_rows(v)
-    return np.sqrt(np.sum(v * v, axis=-1))
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def softmax_last(x: Array) -> Array:
+    """Softmax along the last axis of any array, unvalidated: a ``-inf``
+    entry (a masked attention position) is allowed."""
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax(v: Array) -> Array:
     """Numerically stable softmax of ``v`` or of each row: ``exp(v - max(v))``, normalized."""
-    v = _as_rows(v)
-    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return softmax_last(_as_rows(v))
 
 
 def shannon_entropy(p: Array) -> Array:
@@ -55,9 +65,9 @@ def shannon_entropy(p: Array) -> Array:
     p = _as_rows(p)
     if np.any(p < 0.0):
         raise ValidationError("entropy input has negative components")
-    totals = np.sum(p, axis=-1)
+    totals = np.add.reduce(p, axis=-1)
     bad = np.abs(totals - 1.0) > DISTRIBUTION_ATOL
     if np.any(bad):
         total = float(np.ravel(totals)[np.argmax(bad)])
         raise ValidationError(f"entropy input sums to {total!r}, not 1")
-    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+    return -np.add.reduce(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)

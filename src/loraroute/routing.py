@@ -98,11 +98,15 @@ def select_topk(report: SignalReport, k: int) -> RoutingDecision:
     ids = report.adapter_ids
     if not ids:
         raise ValidationError("cannot select from an empty signal report")
-    scores = report.score_vector.tolist()
-    chosen = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
-    weights = normalize_weights([scores[i] for i in chosen])
+    # Ascending id order first (already the order of a probe's report, which
+    # the sort passes through in one pass), then a stable sort on score alone
+    # keeps ties in that order.
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+    chosen = by_id[np.argsort(-report.score_vector[by_id], kind="stable")[:k]]
+    scores = report.score_vector[chosen].tolist()
+    weights = normalize_weights(scores)
     selected = tuple(
-        SelectedAdapter(ids[i], scores[i], float(w)) for i, w in zip(chosen, weights)
+        SelectedAdapter(ids[i], s, float(w)) for i, s, w in zip(chosen.tolist(), scores, weights)
     )
     return RoutingDecision(
         k=k, pool_revision=report.pool_revision, scoring=report.scoring, selected=selected

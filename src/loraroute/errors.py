@@ -39,7 +39,13 @@ class EmptyPoolError(LoraRouteError):
 
 
 class StaleDecisionError(LoraRouteError):
-    """A routing decision references adapters no longer present."""
+    """A routing decision no longer matches the pool it is merged against.
+
+    Raised when the pool is at another revision than the one the decision
+    was probed at (even if every selected id is still present, since an edit
+    may have replaced an adapter under the same id), and when the decision
+    references adapters not in the pool.
+    """
 
 
 class TrainingDivergedError(LoraRouteError):

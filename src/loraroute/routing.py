@@ -10,14 +10,16 @@ The merge keeps the selected adapters and rescales each one's effective
 alpha to ``w_i * alpha_i``; unselected adapters are dropped.  By linearity
 that is the dense update ``sum_i w_i * alpha_i * A_i @ B_i`` per (block,
 site), so there is one merge and one way to build it, once per request:
-:func:`fuse_parameters` builds each site's matrix with the same chunked
+:func:`fuse_parameters` finds the selected adapters in the pool's chunks
+once, gathers their columns straight from the pool's factor slabs (the one
+copy of the factors the pool holds) and sums them with the same chunked
 builder as the pool's probe operators
-(:func:`~loraroute.adapters.dense_operator`, one chunk for any k up to
-:data:`~loraroute.adapters.STACK_CHUNK`), :func:`fused_hooks` applies each as
-a dense matrix, and :func:`mixture_hooks` (what the engine calls) is the two
-composed.  Applying the stacked factors low-rank instead only pays off for
-wide models; at the widths of this package's models (``d_model`` 32 and 64)
-one dense product per token is cheaper than two thin ones.  Tests pin
+(:func:`~loraroute.adapters.merged_operators`, one stack for any k up to
+:data:`~loraroute.adapters.STACK_CHUNK`); :func:`fused_hooks` applies each
+as a dense matrix, and :func:`mixture_hooks` (what the engine calls) is the
+two composed.  Applying the stacked factors low-rank instead only pays off
+for wide models; at the widths of this package's models (``d_model`` 32 and
+64) one dense product per token is cheaper than two thin ones.  Tests pin
 the merged operator to the sum of the adapters' own :func:`delta_apply`
 deltas, and decoding under it to a per-adapter reference.
 
@@ -35,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import AdapterPool, LoraAdapter, dense_operator, fused_hooks
-from .backbone import HOOK_SITES, ProjectionHook
+from .adapters import AdapterPool, PoolChunk, PoolView, fused_hooks, merged_operators
+from .backbone import ProjectionHook
 from .errors import StaleDecisionError, ValidationError
 from .signals import SignalReport
 
@@ -113,20 +115,21 @@ def select_topk(report: SignalReport, k: int) -> RoutingDecision:
     )
 
 
-def _resolve(pool: AdapterPool, decision: RoutingDecision) -> list[LoraAdapter]:
-    revision, adapters = pool.snapshot()
+def _resolve(pool: AdapterPool, decision: RoutingDecision) -> tuple[PoolView, list[tuple[PoolChunk, int]]]:
+    """The pool's view, and where each selected adapter sits in its chunks, in selection order."""
+    revision, view = pool.snapshot()
     if revision != decision.pool_revision:
         raise StaleDecisionError(
             f"decision made at pool revision {decision.pool_revision}, pool is now at "
             f"revision {revision}; selected adapters: {decision.ids()}"
         )
-    by_id = {a.id: a for a in adapters}
-    missing = [s.adapter_id for s in decision.selected if s.adapter_id not in by_id]
+    picks = [view.locate(s.adapter_id) for s in decision.selected]
+    missing = [s.adapter_id for s, pick in zip(decision.selected, picks) if pick is None]
     if missing:
         raise StaleDecisionError(
             f"decision references adapters no longer in the pool: {missing}"
         )
-    return [by_id[s.adapter_id] for s in decision.selected]
+    return view, picks
 
 
 def mixture_hooks(pool: AdapterPool, decision: RoutingDecision) -> list[ProjectionHook]:
@@ -146,14 +149,12 @@ def fuse_parameters(
     Returns one ``(d_model, d_model)`` matrix per (block, site).  An empty
     selection merges to the bare model: no deltas at all.
     """
-    adapters = _resolve(pool, decision)
+    view, picks = _resolve(pool, decision)
     weights = decision.weights()
-    scales = [weights[a.id] * a.alpha for a in adapters]
-    deltas: dict[tuple[int, str], Array] = {}
-    for j in range(pool.config.n_blocks if adapters else 0):  # none: bare model
-        for site in HOOK_SITES:
-            deltas[(j, site)] = dense_operator(adapters, scales, j, site)
-    return deltas
+    scales = [weights[s.adapter_id] * chunk.alphas[j] for s, (chunk, j) in zip(decision.selected, picks)]
+    operators = merged_operators(picks, scales)
+    del view  # held until here: a live view keeps its chunks' slabs from being rewritten
+    return operators
 
 
 # -- decision serialization ------------------------------------------------------

@@ -10,11 +10,11 @@ at a pool revision, so later passes cost the same whatever the pool size.
 A token policy (first / last / mean) collapses the per-token rows of ``h``
 to one vector, and by linearity each adapter ``i``'s contribution to the Q
 projection is ``o_i = alpha_i * A_i @ B_i @ h`` on that vector, split out of
-one product over the stacked factors of each chunk of adapters
-(:func:`~loraroute.adapters.stack_chunks`); nothing the probe holds grows
-with the pool but its ``(N, d)`` result.  :func:`score_rows`, the one
-scorer, turns each ``o_i`` into a scalar, for the whole pool in one row-wise
-pass:
+one product per pool chunk over the target's factor slabs, which the pool
+already holds stacked (:class:`~loraroute.adapters.PoolChunk`): a warm probe
+copies no factors and builds nothing, and nothing it holds grows with the
+pool but its ``(N, d)`` result.  :func:`score_rows`, the one scorer, turns
+each ``o_i`` into a scalar, for the whole pool in one row-wise pass:
 
 * ``norm`` — the Euclidean norm of ``o_i``; bigger response, bigger score.
 * ``inverse_entropy`` — softmax ``o_i`` and score ``1 / H``; the more peaked
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import AdapterPool, fused_hooks, stack_chunks
+from .adapters import STACK_CHUNK, AdapterPool, fused_hooks
 from .backbone import HOOK_SITES, Backbone
 from .errors import EmptyPoolError, ValidationError
 from .numcore import l2_norm, shannon_entropy, softmax
@@ -143,8 +143,8 @@ def probe(
     happens to the pool afterwards.
     """
     snapshot = pool.snapshot()
-    revision, adapters = snapshot
-    if not adapters:
+    revision, view = snapshot
+    if not view:
         raise EmptyPoolError("probe requires at least one adapter in the pool")
     target = config.resolve_block(backbone.config.n_blocks)
 
@@ -154,18 +154,17 @@ def probe(
     )
     pooled = mean_pool_token(backbone.block_input(tokens, target, hooks), config.token_policy)
 
-    outputs = np.empty((len(adapters), backbone.config.d_model))
-    scales = [ad.alpha for ad in adapters]
-    for chunk, a, b in stack_chunks(adapters, scales, target, PROBE_SITE):
-        starts = np.cumsum([0] + [ad.rank for ad in adapters[chunk][:-1]])
+    outputs = np.empty((len(view), backbone.config.d_model))
+    for lo, chunk in zip(range(0, len(view), STACK_CHUNK), view.chunks):
+        a, b = chunk.stack(target, PROBE_SITE)
         # Column run i of ``a * (b @ pooled)`` summed is alpha_i * A_i @ B_i @ pooled.
-        outputs[chunk] = np.add.reduceat(a * (b @ pooled), starts, axis=1).T
+        outputs[lo : lo + len(chunk.ids)] = np.add.reduceat(a * (b @ pooled), chunk.starts, axis=1).T
     return SignalReport(
         pool_revision=revision,
         target_block=target,
         token_policy=config.token_policy,
         scoring=config.scoring,
-        adapter_ids=tuple(ad.id for ad in adapters),
+        adapter_ids=view.ids,
         outputs=outputs,
         score_vector=score_rows(outputs, config.scoring),
     )

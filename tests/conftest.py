@@ -59,16 +59,20 @@ def make_mixed_pool(config):
     return pool
 
 
+def chunked_adapters(config):
+    """``2 * STACK_CHUNK + 5`` adapters (a count no chunk divides) of ranks 1
+    to 8 at alphas other than one, in ascending id order."""
+    return [
+        make_adapter(config, f"c{i:03d}", seed=100 + i, rank=1 + i % 8, alpha=0.6 + 0.35 * (i % 5), scale=0.03)
+        for i in range(2 * STACK_CHUNK + 5)
+    ]
+
+
 def make_chunked_pool(config):
-    """Pool spanning several stacking chunks: ``2 * STACK_CHUNK + 5`` adapters
-    (a count no chunk divides) of ranks 1 to 8 at alphas other than one."""
+    """Pool spanning several chunks: the :func:`chunked_adapters`."""
     pool = AdapterPool(config)
-    for i in range(2 * STACK_CHUNK + 5):
-        pool.add(
-            make_adapter(
-                config, f"c{i:03d}", seed=100 + i, rank=1 + i % 8, alpha=0.6 + 0.35 * (i % 5), scale=0.03
-            )
-        )
+    for adapter in chunked_adapters(config):
+        pool.add(adapter)
     return pool
 
 

@@ -1,3 +1,4 @@
+import re
 import struct
 import threading
 
@@ -22,7 +23,7 @@ from loraroute import (
     save_adapter,
     write_manifest,
 )
-from loraroute.adapters import ADAPTER_MAGIC, dense_operator
+from loraroute.adapters import ADAPTER_MAGIC
 
 from conftest import byte_mutations, make_adapter, make_pool
 
@@ -144,6 +145,23 @@ class TestAdapterValidation:
         with pytest.raises(ValueError):
             ad.factors[(0, "Q")].a[0, 0] = 5.0
 
+    def test_read_only_view_kept_without_copy(self):
+        slab = np.arange(40.0).reshape(4, 10)
+        slab.flags.writeable = False
+        a, b = slab[:, 3:5], slab[:2, :4]
+        ad = LoraAdapter(id="view", alpha=1.0, factors={(0, s): LoraFactors(a, b) for s in ("Q", "V")})
+        assert ad.factors[(0, "Q")].a is a and ad.factors[(0, "V")].b is b
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_names_its_site(self, tiny_config, bad):
+        ad = make_adapter(tiny_config, "nf", seed=2)
+        factors = dict(ad.factors)
+        b = factors[(1, "V")].b.copy()
+        b[1, 3] = bad
+        factors[(1, "V")] = LoraFactors(factors[(1, "V")].a, b)
+        with pytest.raises(ValidationError, match=r"^factors at \(1, 'V'\) contain non-finite entries$"):
+            LoraAdapter(id="nf", alpha=1.0, factors=factors)
+
 
 class TestPool:
     def test_add_bumps_revision(self, tiny_config):
@@ -227,7 +245,10 @@ class TestPoolOperator:
         old = pool.snapshot()
         pool.add(make_adapter(tiny_config, "late", seed=9))
         got = pool.operator(old, 0, "Q")
-        assert np.array_equal(got, dense_operator(old[1], [a.alpha for a in old[1]], 0, "Q"))
+        fresh = AdapterPool(tiny_config)
+        for adapter in old[1]:
+            fresh.add(adapter)
+        assert np.array_equal(got, fresh.operator(fresh.snapshot(), 0, "Q"))
         assert pool._operators == {}
         assert not np.array_equal(pool.operator(pool.snapshot(), 0, "Q"), got)
 
@@ -242,6 +263,24 @@ class TestSerialization:
         for key in ad.factors:
             assert np.array_equal(back.factors[key].a, ad.factors[key].a)
             assert np.array_equal(back.factors[key].b, ad.factors[key].b)
+
+    def test_parsed_factors_are_views_of_one_read_only_payload(self, tiny_config):
+        back = adapter_from_bytes(adapter_to_bytes(make_adapter(tiny_config, "one", seed=4, rank=3)))
+        arrays = [x for fac in back.factors.values() for x in (fac.a, fac.b)]
+        assert all(x.base is arrays[0].base and not x.flags.writeable for x in arrays)
+        assert arrays[0].base.nbytes == sum(x.nbytes for x in arrays)
+
+    @pytest.mark.parametrize("key", [(0, "Q"), (1, "V")])
+    def test_non_finite_payload_names_its_site(self, tiny_config, key):
+        ad = make_adapter(tiny_config, "nf", seed=5, rank=2)
+        raw = bytearray(adapter_to_bytes(ad))
+        n = tiny_config.d_model * 2
+        head = len(raw) - 8 * 4 * tiny_config.n_blocks * n
+        at = head + 8 * ((2 * key[0] + ("Q", "V").index(key[1])) * 2 * n + n + 7)  # an entry of B
+        raw[at : at + 8] = struct.pack("<d", float("nan"))
+        message = f"invalid adapter: factors at {key} contain non-finite entries"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            adapter_from_bytes(bytes(raw))
 
     def test_magic_prefix(self, tiny_config):
         assert adapter_to_bytes(make_adapter(tiny_config, "m", seed=0))[:4] == ADAPTER_MAGIC

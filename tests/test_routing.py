@@ -226,8 +226,8 @@ class TestMerging:
             stacks.append(args)
             return original(*args)
 
-        original = adapters_module.stack_chunks
-        monkeypatch.setattr(adapters_module, "stack_chunks", counted)
+        original = adapters_module.dense_operator
+        monkeypatch.setattr(adapters_module, "dense_operator", counted)
         hooks = mixture_hooks(small_pool, decision)
         assert len(stacks) == 2 * tiny_config.n_blocks
         stacks.clear()

@@ -279,14 +279,15 @@ class TestPoolOperators:
         built = []
         original = adapters_module.dense_operator
 
-        def counted(adapters, scales, block, site):
-            built.append((block, site))
-            return original(adapters, scales, block, site)
+        def counted(stacks):
+            built.append(None)
+            return original(stacks)
 
         monkeypatch.setattr(adapters_module, "dense_operator", counted)
         first = probe(tiny_backbone, small_pool, [1, 2, 3])
         second = probe(tiny_backbone, small_pool, [1, 2, 3])
-        assert sorted(built) == [(0, "Q"), (0, "V")]
+        assert len(built) == 2
+        assert sorted(small_pool._operators) == [(0, "Q"), (0, "V")]
         assert np.array_equal(first.outputs, second.outputs)
 
     def test_replaced_adapter_reports_like_a_fresh_pool(self, tiny_backbone, tiny_config):
@@ -313,6 +314,20 @@ class TestPoolOperators:
             assert all(w.shape == (d, d) and not w.flags.writeable for w in held)
 
     def test_probes_racing_edits_match_serial_probes(self, monkeypatch, tiny_backbone, tiny_config):
+        pool = make_pool(tiny_config, 4)
+        variants = [make_adapter(tiny_config, "swap", seed=s, rank=r) for s, r in ((50, 2), (51, 5))]
+        self.race(monkeypatch, tiny_backbone, tiny_config, pool, variants)
+
+    def test_probes_racing_chunk_shifting_edits_match_serial_probes(self, monkeypatch, tiny_backbone, tiny_config):
+        # An id sorting before every other: each edit shifts every chunk's members.
+        pool = make_chunked_pool(tiny_config)
+        variants = [make_adapter(tiny_config, "a-first", seed=s, rank=r) for s, r in ((52, 3), (53, 7))]
+        self.race(monkeypatch, tiny_backbone, tiny_config, pool, variants)
+
+    @staticmethod
+    def race(monkeypatch, backbone, config, pool, variants):
+        """200 probes racing a thread that swaps one id between two factor sets
+        each equal a serial probe of a fresh pool at their revision."""
         original = adapters_module.dense_operator
 
         def slow(*args):
@@ -321,8 +336,7 @@ class TestPoolOperators:
             return original(*args)
 
         monkeypatch.setattr(adapters_module, "dense_operator", slow)
-        pool = make_pool(tiny_config, 4)
-        variants = [make_adapter(tiny_config, "swap", seed=s, rank=r) for s, r in ((50, 2), (51, 5))]
+        swap = variants[0].id
         pool.add(variants[0])
         snapshots = dict([pool.snapshot()])  # revision -> adapters
         tokens = [7, 3, 9, 1]
@@ -332,7 +346,7 @@ class TestPoolOperators:
         def edit():
             i = 0
             while not done.is_set():
-                pool.remove("swap")
+                pool.remove(swap)
                 snapshots.update([pool.snapshot()])
                 time.sleep(5e-4)
                 i += 1
@@ -343,7 +357,7 @@ class TestPoolOperators:
         def read():
             try:
                 for _ in range(200):
-                    reports.append(probe(tiny_backbone, pool, tokens))
+                    reports.append(probe(backbone, pool, tokens))
             finally:
                 done.set()
 
@@ -365,10 +379,10 @@ class TestPoolOperators:
         serial = {}
         for report in reports:
             if report.pool_revision not in serial:
-                fresh = AdapterPool(tiny_config)
+                fresh = AdapterPool(config)
                 for adapter in snapshots[report.pool_revision]:
                     fresh.add(adapter)
-                serial[report.pool_revision] = probe(tiny_backbone, fresh, tokens)
+                serial[report.pool_revision] = probe(backbone, fresh, tokens)
             want = serial[report.pool_revision]
             assert report.adapter_ids == want.adapter_ids
             np.testing.assert_allclose(
